@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 
 from .classgrp import ThetaMatrix, class_group, class_group_ell, theta_matrix
 from .curvehom import (
-    ConfigGraph,
     CurveProfile,
     curve_profile,
     deg_surjectivity,

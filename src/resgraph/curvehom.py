@@ -18,11 +18,6 @@ from .dualgraph import DualGraph, connected_components, is_forest
 from .errors import EmptyInputError, LengthMismatchError, NotAForestError
 from .exactlat import LModule
 
-# A configuration graph is a dual graph viewed with self-intersections
-# ignored: vertices are irreducible curve components, edges intersections.
-ConfigGraph = DualGraph
-
-
 @dataclass(frozen=True)
 class CurveProfile:
     """Graded homology/cohomology of a curve configuration.
@@ -52,7 +47,7 @@ def _profile(r: int, n: int, ell: int, labels: tuple[str, ...]) -> CurveProfile:
     )
 
 
-def curve_profile(g: ConfigGraph, ell: int = 2) -> CurveProfile:
+def curve_profile(g: DualGraph, ell: int = 2) -> CurveProfile:
     """Closed-form profile: degree 0 free of rank r (one per connected
     component), degree 1 zero, degree 2 free of rank n (one per irreducible
     component).  Raises NotAForestError when the shape cannot certify the
@@ -67,11 +62,11 @@ def curve_profile(g: ConfigGraph, ell: int = 2) -> CurveProfile:
     )
 
 
-def mv_profile(g: ConfigGraph, ell: int = 2) -> CurveProfile:
+def mv_profile(g: DualGraph, ell: int = 2) -> CurveProfile:
     """Cut-and-paste oracle for :func:`curve_profile`.
 
-    Peels one leaf component C' (incident to at most one edge of what
-    remains) and recurses on the rest C''.  Degree-2 ranks add; degree 0 is
+    Peels leaf components one at a time: each C' is incident to at most
+    one edge of what remains, the rest C''.  Degree-2 ranks add; degree 0 is
     governed by the split sequence
 
         0 -> H_1 -> H_0(C' ∩ C'') -> H_0(C') ⊕ H_0(C'') -> H_0 -> 0
@@ -82,23 +77,24 @@ def mv_profile(g: ConfigGraph, ell: int = 2) -> CurveProfile:
     if not is_forest(g):
         raise NotAForestError(f"configuration {g.name!r} is not a forest")
     adj = g.adjacency()
+    live_deg = [len(nbrs) for nbrs in adj]
+    alive = [True] * g.n
+    leaves = [i for i in range(g.n) if live_deg[i] <= 1]
+    r = n = 0
+    while leaves:
+        # each vertex enters ``leaves`` once: at the start, or when its
+        # live degree falls to 1
+        leaf = leaves.pop()
+        # r(C) = 1 + r(C'') - #(C' ∩ C''), unrolled over the peels
+        r += 1 - live_deg[leaf]
+        n += 1
+        alive[leaf] = False
+        for j in adj[leaf]:
+            if alive[j]:
+                live_deg[j] -= 1
+                if live_deg[j] == 1:
+                    leaves.append(j)
 
-    def peel(alive: frozenset[int]) -> tuple[int, int]:
-        if not alive:
-            return (0, 0)
-        if len(alive) == 1:
-            return (1, 1)
-        leaf = None
-        for i in sorted(alive):
-            if sum(1 for j in adj[i] if j in alive) <= 1:
-                leaf = i
-                break
-        assert leaf is not None, "a forest always has a leaf"
-        meets = sum(1 for j in adj[leaf] if j in alive)
-        r_rest, n_rest = peel(alive - {leaf})
-        return (1 + r_rest - meets, n_rest + 1)
-
-    r, n = peel(frozenset(range(g.n)))
     return _profile(r=r, n=n, ell=ell, labels=tuple(v.id for v in g.vertices))
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .classgrp import class_group, class_group_ell
+from .classgrp import class_group
 from .dualgraph import (
     DualGraph,
     graph_from_obj,
@@ -24,7 +24,7 @@ from .dualgraph import (
     validate,
 )
 from .errors import GraphFormatError, ValidationFailedError, WrongLengthError
-from .exactlat import FgAbGroup, LModule
+from .exactlat import FgAbGroup, LModule, ell_primary
 
 
 @dataclass(frozen=True)
@@ -83,7 +83,9 @@ def dualizing_report(spec: SurfaceSpec) -> DualizingReport:
         if not report.overall:
             raise ValidationFailedError(report, point_id=p.id)
         cl = class_group(p.graph)
-        ell_part = class_group_ell(p.graph, spec.ell)
+        # validate has already required ell to divide no d_j or residue
+        # degree, the condition class_group_ell checks
+        ell_part = ell_primary(cl, spec.ell).twisted(1)
         verdicts.append(PointVerdict(
             id=p.id,
             class_group=cl,

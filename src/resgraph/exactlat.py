@@ -11,6 +11,7 @@ and no floating point is used anywhere in this module.
 from __future__ import annotations
 
 import operator
+from collections.abc import Iterator
 from dataclasses import dataclass
 from math import prod
 
@@ -125,30 +126,44 @@ class IntMatrix:
         """Exact determinant by fraction-free (Bareiss) elimination."""
         if not self.is_square:
             raise NonSquareError(f"determinant of a {self.rows}x{self.cols} matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        a = self.to_lists()
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                for i in range(k + 1, n):
-                    if a[i][k] != 0:
-                        a[k], a[i] = a[i], a[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            pivot = a[k][k]
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (pivot * a[i][j] - a[i][k] * a[k][j]) // prev
-            prev = pivot
-        return sign * a[n - 1][n - 1]
+        sign, last = 1, 1
+        for last, swapped in _bareiss(self.to_lists()):
+            if swapped:
+                sign = -sign
+        return sign * last
 
     def __str__(self) -> str:
         return "[" + "; ".join(" ".join(str(x) for x in row) for row in self.entries) + "]"
+
+
+def _bareiss(a: list[list[int]]) -> Iterator[tuple[int, bool]]:
+    """Fraction-free (Bareiss) elimination of the square grid ``a`` in place.
+
+    Yields ``(pivot, swapped)`` before eliminating with each pivot, where
+    ``swapped`` says a zero pivot was swapped for a lower row's nonzero entry.
+    Without swaps pivot k is the leading principal minor of order k + 1; the
+    last pivot, signed by the swaps, is the determinant (0 ends the pass).
+    """
+    n = len(a)
+    prev = 1
+    for k in range(n):
+        swapped = False
+        if a[k][k] == 0:
+            i = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if i is not None:
+                a[k], a[i] = a[i], a[k]
+                swapped = True
+        pivot = a[k][k]
+        yield pivot, swapped
+        if pivot == 0:
+            return
+        top = a[k]
+        for i in range(k + 1, n):
+            row = a[i]
+            c = row[k]
+            for j in range(k + 1, n):
+                row[j] = (pivot * row[j] - c * top[j]) // prev
+        prev = pivot
 
 
 @dataclass(frozen=True)
@@ -186,8 +201,9 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def smith_normal_form(m: IntMatrix) -> SmithForm:
-    """Diagonalize an integer matrix by unimodular row/column operations.
+def _diagonalize(a: list[list[int]], nr: int, nc: int) -> None:
+    """Bring the leading ``nr`` x ``nc`` block of the grid ``a`` to Smith
+    form in place.
 
     Classical elementary reduction: move a minimal nonzero entry of the
     trailing block to the pivot position, then alternately clear the pivot
@@ -195,52 +211,14 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
     unimodular 2x2 transform built from the extended gcd (a single-shot
     Euclid cascade, which keeps intermediate entries from churning), and
     any trailing entry the pivot fails to divide is folded into the pivot
-    row so the divisibility chain holds.  Total on all integer matrices,
-    including empty ones.
+    row so the divisibility chain holds.  Finally each pivot row is
+    negated where its pivot is negative.
+
+    Operations act on whole rows and columns of ``a``, but every pivot
+    choice and test reads only the leading block, so entries outside it ride
+    along as witnesses.  Rows below the block may be shorter: row operations
+    never reach them.
     """
-    nr, nc = m.rows, m.cols
-    a = m.to_lists()
-    u = [[int(i == j) for j in range(nr)] for i in range(nr)]
-    v = [[int(i == j) for j in range(nc)] for i in range(nc)]
-
-    def swap_rows(i: int, k: int) -> None:
-        a[i], a[k] = a[k], a[i]
-        u[i], u[k] = u[k], u[i]
-
-    def swap_cols(j: int, k: int) -> None:
-        for row in a:
-            row[j], row[k] = row[k], row[j]
-        for row in v:
-            row[j], row[k] = row[k], row[j]
-
-    def add_row(dst: int, src: int, c: int) -> None:
-        a[dst] = [x + c * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x + c * y for x, y in zip(u[dst], u[src])]
-
-    def add_col(dst: int, src: int, c: int) -> None:
-        for row in a:
-            row[dst] += c * row[src]
-        for row in v:
-            row[dst] += c * row[src]
-
-    def combine_rows(i1: int, i2: int, s: int, w: int, p: int, q: int) -> None:
-        # (row i1, row i2) <- (s*row i1 + w*row i2, p*row i1 + q*row i2)
-        a[i1], a[i2] = (
-            [s * x + w * y for x, y in zip(a[i1], a[i2])],
-            [p * x + q * y for x, y in zip(a[i1], a[i2])],
-        )
-        u[i1], u[i2] = (
-            [s * x + w * y for x, y in zip(u[i1], u[i2])],
-            [p * x + q * y for x, y in zip(u[i1], u[i2])],
-        )
-
-    def combine_cols(j1: int, j2: int, s: int, w: int, p: int, q: int) -> None:
-        for mat in (a, v):
-            for row in mat:
-                x, y = row[j1], row[j2]
-                row[j1] = s * x + w * y
-                row[j2] = p * x + q * y
-
     t = 0
     while t < nr and t < nc:
         best: tuple[int, int] | None = None
@@ -253,10 +231,12 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
                     best_abs = abs(x)
         if best is None:
             break
-        if best[0] != t:
-            swap_rows(t, best[0])
-        if best[1] != t:
-            swap_cols(t, best[1])
+        bi, bj = best
+        if bi != t:
+            a[t], a[bi] = a[bi], a[t]
+        if bj != t:
+            for row in a:
+                row[t], row[bj] = row[bj], row[t]
         while True:
             for i in range(t + 1, nr):
                 y = a[i][t]
@@ -264,22 +244,33 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
                     continue
                 x = a[t][t]
                 if y % x == 0:
-                    add_row(i, t, -(y // x))
+                    c = -(y // x)
+                    a[i] = [p + c * q for p, q in zip(a[i], a[t])]
                 else:
                     g, s, w = _xgcd(x, y)
-                    combine_rows(t, i, s, w, -(y // g), x // g)
+                    yg, xg = y // g, x // g
+                    a[t], a[i] = (
+                        [s * p + w * q for p, q in zip(a[t], a[i])],
+                        [xg * q - yg * p for p, q in zip(a[t], a[i])],
+                    )
             for j in range(t + 1, nc):
                 y = a[t][j]
                 if y == 0:
                     continue
                 x = a[t][t]
                 if y % x == 0:
-                    add_col(j, t, -(y // x))
+                    c = -(y // x)
+                    for row in a:
+                        row[j] += c * row[t]
                 else:
                     # the pivot shrinks to gcd(x, y); this may refill the
                     # pivot column, hence the outer loop
                     g, s, w = _xgcd(x, y)
-                    combine_cols(t, j, s, w, -(y // g), x // g)
+                    yg, xg = y // g, x // g
+                    for row in a:
+                        p, q = row[t], row[j]
+                        row[t] = s * p + w * q
+                        row[j] = xg * q - yg * p
             if any(a[i][t] != 0 for i in range(t + 1, nr)):
                 continue
             pivot = a[t][t]
@@ -291,18 +282,30 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
                 break
             # fold the undivided entry's row into the pivot row; the next
             # sweep gcds the pivot down toward it
-            add_row(t, carrier, 1)
+            a[t] = [p + q for p, q in zip(a[t], a[carrier])]
         t += 1
 
     for i in range(min(nr, nc)):
         if a[i][i] < 0:
             a[i] = [-x for x in a[i]]
-            u[i] = [-x for x in u[i]]
 
+
+def smith_normal_form(m: IntMatrix) -> SmithForm:
+    """Diagonalize an integer matrix by unimodular row/column operations,
+    keeping the witnesses: ``d == u @ m @ v``.
+
+    The reduction runs on the grid ``[[m, I], [I]]``, so the row operations
+    build ``u`` to the right of ``m`` and the column operations build ``v``
+    below it.  Total on all integer matrices, including empty ones.
+    """
+    nr, nc = m.rows, m.cols
+    grid = [list(row) + [int(i == k) for k in range(nr)] for i, row in enumerate(m.entries)]
+    grid += [[int(j == k) for k in range(nc)] for j in range(nc)]
+    _diagonalize(grid, nr, nc)
     return SmithForm(
-        u=IntMatrix.from_rows(u),
-        d=IntMatrix(nr, nc, tuple(tuple(row) for row in a)),
-        v=IntMatrix.from_rows(v),
+        u=IntMatrix(nr, nr, tuple(tuple(row[nc:]) for row in grid[:nr])),
+        d=IntMatrix(nr, nc, tuple(tuple(row[:nc]) for row in grid[:nr])),
+        v=IntMatrix(nc, nc, tuple(tuple(row) for row in grid[nr:])),
     )
 
 
@@ -361,9 +364,11 @@ class FgAbGroup:
 def cokernel(m: IntMatrix) -> FgAbGroup:
     """Quotient of Z^rows by the lattice spanned by the columns of ``m``,
     in invariant-factor form.  Unit factors are dropped; the free rank is
-    ``rows - rank(m)``."""
-    snf = smith_normal_form(m)
-    diag = snf.diagonal()
+    ``rows - rank(m)``.  Runs the reduction of :func:`smith_normal_form`
+    on ``m`` alone, so no witness is built."""
+    a = m.to_lists()
+    _diagonalize(a, m.rows, m.cols)
+    diag = [a[i][i] for i in range(min(m.rows, m.cols))]
     rank = sum(1 for x in diag if x != 0)
     return FgAbGroup(
         free_rank=m.rows - rank,
@@ -376,30 +381,17 @@ def is_negative_definite(m: IntMatrix) -> bool:
     every leading principal minor.
 
     Uses one fraction-free elimination pass whose pivots are exactly the
-    leading principal minors; a zero or wrong-signed pivot short-circuits.
+    leading principal minors while no row swap is needed; a swap, or a zero
+    or wrong-signed pivot, short-circuits.
     The empty matrix is vacuously negative definite.
     """
     if not m.is_square:
         raise NonSquareError(f"definiteness of a {m.rows}x{m.cols} matrix")
     if not m.is_symmetric():
         raise NonSymmetricError("definiteness requires a symmetric matrix")
-    n = m.rows
-    if n == 0:
-        return True
-    a = m.to_lists()
-    prev = 1
-    for k in range(n):
-        minor = a[k][k]  # equals det of the leading (k+1)x(k+1) block
-        if minor == 0:
+    for k, (minor, swapped) in enumerate(_bareiss(m.to_lists())):
+        if swapped or minor == 0 or ((minor > 0) if k % 2 == 0 else (minor < 0)):
             return False
-        if (minor > 0) if k % 2 == 0 else (minor < 0):
-            return False
-        if k == n - 1:
-            break
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (minor * a[i][j] - a[i][k] * a[k][j]) // prev
-        prev = minor
     return True
 
 

@@ -15,6 +15,7 @@ homology rank.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Literal
 
 from .classgrp import class_group_ell
 from .curvehom import deg_surjectivity
@@ -30,7 +31,7 @@ from .exactlat import (
 
 MAX_DEGREE = 5
 
-Mode = str  # "integral" | "rational"
+Mode = Literal["integral", "rational"]
 
 
 @dataclass(frozen=True)

@@ -101,6 +101,11 @@ class TestMvProfile:
             g = forest_graph(n, edges)
             assert mv_profile(g) == curve_profile(g), (n, edges)
 
+    def test_long_chain_peels_without_recursion(self):
+        # one recursion level per vertex used to overflow the stack here
+        g = gen_ade("A", 1200)
+        assert mv_profile(g) == curve_profile(g)
+
     def test_empty_graph(self):
         g = DualGraph("pt", (), ())
         p = mv_profile(g)

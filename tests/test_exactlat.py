@@ -195,6 +195,31 @@ class TestCokernel:
                 assert oracle.exponent == group.exponent()
 
 
+    @settings(max_examples=80, deadline=None)
+    @given(matrices())
+    def test_agrees_with_smith_diagonal(self, m):
+        # cokernel skips the witnesses; its group must still be read off
+        # the diagonal of the witnessed Smith form
+        diag = smith_normal_form(m).diagonal()
+        group = cokernel(m)
+        assert group.free_rank == m.rows - sum(1 for x in diag if x != 0)
+        assert group.invariant_factors == tuple(x for x in diag if x >= 2)
+
+    def test_order_matches_det_on_larger_trees(self):
+        # random attachment trees with weights -max(2, deg) - {0, 1}:
+        # diagonally dominant, hence negative definite and det != 0
+        rng = random.Random(53)
+        for n in (50, 55, 60):
+            parent = [rng.randrange(i) for i in range(1, n)]
+            rows = [[0] * n for _ in range(n)]
+            for child, p in enumerate(parent, start=1):
+                rows[child][p] = rows[p][child] = 1
+            for i in range(n):
+                deg = sum(rows[i])
+                rows[i][i] = -max(2, deg) - rng.randrange(2)
+            assert cokernel(IntMatrix.from_rows(rows)).order() == abs(det_fraction(rows))
+
+
 class TestNegativeDefinite:
     def test_single_entry(self):
         assert is_negative_definite(IntMatrix.from_rows([[-2]]))
