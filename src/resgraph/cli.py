@@ -19,7 +19,6 @@ from .classgrp import class_group
 from .curvehom import curve_profile
 from .dualgraph import (
     CATALOG_ENV,
-    DualGraph,
     catalog_names,
     gen_ade,
     gen_hj,
@@ -44,7 +43,11 @@ def _prime(text: str) -> int:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if not is_prime(value):
+    try:
+        prime = is_prime(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+    if not prime:
         raise argparse.ArgumentTypeError(f"not a prime: {value}")
     return value
 

@@ -21,7 +21,7 @@ from .errors import (
     NotCoprimeError,
     UnsupportedIndexError,
 )
-from .exactlat import IntMatrix, is_negative_definite, is_prime
+from .exactlat import IntMatrix, _require_prime, is_negative_definite
 
 
 @dataclass(frozen=True)
@@ -85,12 +85,6 @@ class DualGraph:
     @property
     def n(self) -> int:
         return len(self.vertices)
-
-    def index_of(self, vertex_id: str) -> int:
-        for i, v in enumerate(self.vertices):
-            if v.id == vertex_id:
-                return i
-        raise KeyError(vertex_id)
 
     def adjacency(self) -> list[list[int]]:
         """Neighbor lists by vertex index (multiplicities ignored)."""
@@ -182,8 +176,7 @@ def validate(g: DualGraph, ell: int) -> ValidationReport:
     matrix, the coefficient prime not dividing any degree gcd or residue
     degree, and the graph being a forest.
     """
-    if not is_prime(ell):
-        raise ValueError(f"coefficient prime required, got {ell}")
+    _require_prime(ell)
     inter = intersection_matrix(g)
     checks = [CheckResult("symmetric", True, "intersection matrix is symmetric by construction")]
 
@@ -308,16 +301,35 @@ def _need_str(obj: dict, key: str, where: str) -> str:
     return val
 
 
-def _reject_unknown(obj: dict, allowed: set[str], where: str) -> None:
+def _json_object(obj, allowed: set[str], where: str, not_object: str | None = None) -> None:
+    """Require a JSON object with no keys outside ``allowed``; a top-level
+    reader passes its own ``not_object`` message."""
+    if not isinstance(obj, dict):
+        raise GraphFormatError(not_object or f"{where}: must be an object")
     unknown = set(obj) - allowed
     if unknown:
         raise GraphFormatError(f"{where}: unknown keys {sorted(unknown)}")
 
 
+def _json_field(obj: dict, key: str, kind: type, where: str):
+    """The value under ``key``, which must have type ``kind`` (a missing key
+    fails the same way; ``True`` is not an integer)."""
+    val = obj.get(key)
+    if not (type(val) is int if kind is int else isinstance(val, kind)):
+        names = {str: "a string", int: "an integer", list: "an array"}
+        raise GraphFormatError(f"{where}: {key!r} must be {names[kind]}")
+    return val
+
+
+def _json_loads(text: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise GraphFormatError(f"invalid JSON: {exc}") from exc
+
+
 def graph_from_obj(obj) -> DualGraph:
-    if not isinstance(obj, dict):
-        raise GraphFormatError("graph must be a JSON object")
-    _reject_unknown(obj, {"name", "vertices", "edges"}, "graph")
+    _json_object(obj, {"name", "vertices", "edges"}, "graph", "graph must be a JSON object")
     name = _need_str(obj, "name", "graph")
     vs = obj.get("vertices")
     es = obj.get("edges")
@@ -326,9 +338,7 @@ def graph_from_obj(obj) -> DualGraph:
     vertices = []
     for i, vobj in enumerate(vs):
         where = f"vertices[{i}]"
-        if not isinstance(vobj, dict):
-            raise GraphFormatError(f"{where}: must be an object")
-        _reject_unknown(vobj, _VERTEX_KEYS, where)
+        _json_object(vobj, _VERTEX_KEYS, where)
         vertices.append(Vertex(
             id=_need_str(vobj, "id", where),
             self_intersection=_need_int(vobj, "self", where),
@@ -338,9 +348,7 @@ def graph_from_obj(obj) -> DualGraph:
     edges = []
     for i, eobj in enumerate(es):
         where = f"edges[{i}]"
-        if not isinstance(eobj, dict):
-            raise GraphFormatError(f"{where}: must be an object")
-        _reject_unknown(eobj, _EDGE_KEYS, where)
+        _json_object(eobj, _EDGE_KEYS, where)
         edges.append(Edge(
             a=_need_str(eobj, "a", where),
             b=_need_str(eobj, "b", where),
@@ -362,11 +370,7 @@ def graph_to_obj(g: DualGraph) -> dict:
 
 
 def parse_graph(text: str) -> DualGraph:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise GraphFormatError(f"invalid JSON: {exc}") from exc
-    return graph_from_obj(obj)
+    return graph_from_obj(_json_loads(text))
 
 
 def serialize_graph(g: DualGraph) -> str:

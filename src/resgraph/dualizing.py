@@ -13,18 +13,20 @@ l-part, with that part as stalk).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
-from .classgrp import class_group
+from .classgrp import theta_matrix
 from .dualgraph import (
     DualGraph,
+    _json_field,
+    _json_loads,
+    _json_object,
     graph_from_obj,
     resolve_graph,
     validate,
 )
 from .errors import GraphFormatError, ValidationFailedError, WrongLengthError
-from .exactlat import FgAbGroup, LModule, ell_primary
+from .exactlat import FgAbGroup, LModule, cokernel, ell_primary
 
 
 @dataclass(frozen=True)
@@ -82,9 +84,10 @@ def dualizing_report(spec: SurfaceSpec) -> DualizingReport:
         report = validate(p.graph, spec.ell)
         if not report.overall:
             raise ValidationFailedError(report, point_id=p.id)
-        cl = class_group(p.graph)
-        # validate has already required ell to divide no d_j or residue
-        # degree, the condition class_group_ell checks
+        # validate has already checked definiteness, divisibility and that
+        # ell divides no d_j or residue degree: the gates of class_group and
+        # class_group_ell
+        cl = cokernel(theta_matrix(p.graph).matrix)
         ell_part = ell_primary(cl, spec.ell).twisted(1)
         verdicts.append(PointVerdict(
             id=p.id,
@@ -117,31 +120,15 @@ def duality_rank_check(betti_c: list[int] | tuple[int, ...]) -> bool:
 # Surface JSON
 
 def surface_from_obj(obj) -> SurfaceSpec:
-    if not isinstance(obj, dict):
-        raise GraphFormatError("surface must be a JSON object")
-    unknown = set(obj) - {"name", "ell", "points"}
-    if unknown:
-        raise GraphFormatError(f"surface: unknown keys {sorted(unknown)}")
-    name = obj.get("name")
-    if not isinstance(name, str):
-        raise GraphFormatError("surface: 'name' must be a string")
-    ell = obj.get("ell")
-    if type(ell) is not int:
-        raise GraphFormatError("surface: 'ell' must be an integer")
-    pts = obj.get("points")
-    if not isinstance(pts, list):
-        raise GraphFormatError("surface: 'points' must be an array")
+    _json_object(obj, {"name", "ell", "points"}, "surface", "surface must be a JSON object")
+    name = _json_field(obj, "name", str, "surface")
+    ell = _json_field(obj, "ell", int, "surface")
+    pts = _json_field(obj, "points", list, "surface")
     points = []
     for i, pobj in enumerate(pts):
         where = f"points[{i}]"
-        if not isinstance(pobj, dict):
-            raise GraphFormatError(f"{where}: must be an object")
-        unknown = set(pobj) - {"id", "graph"}
-        if unknown:
-            raise GraphFormatError(f"{where}: unknown keys {sorted(unknown)}")
-        pid = pobj.get("id")
-        if not isinstance(pid, str):
-            raise GraphFormatError(f"{where}: 'id' must be a string")
+        _json_object(pobj, {"id", "graph"}, where)
+        pid = _json_field(pobj, "id", str, where)
         gval = pobj.get("graph")
         if isinstance(gval, str):
             graph = resolve_graph(gval)
@@ -154,8 +141,4 @@ def surface_from_obj(obj) -> SurfaceSpec:
 
 
 def parse_surface(text: str) -> SurfaceSpec:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise GraphFormatError(f"invalid JSON: {exc}") from exc
-    return surface_from_obj(obj)
+    return surface_from_obj(_json_loads(text))

@@ -13,25 +13,41 @@ from __future__ import annotations
 import operator
 from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import chain
 from math import prod
 
 from .errors import NonSquareError, NonSymmetricError
 
 
+# Miller-Rabin with the first 13 prime bases is exact below the least
+# strong pseudoprime to all of them (Sorenson-Webster 2015).
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_TEST_BOUND = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic primality test by trial division (coefficient primes
-    are small; no need for anything fancier)."""
+    """Deterministic Miller-Rabin primality test, exact below
+    3,317,044,064,679,887,385,961,981; raises ValueError at or above it."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    if n >= _PRIME_TEST_BOUND:
+        raise ValueError(f"primality is only decided below {_PRIME_TEST_BOUND}, got {n}")
+    for p in _PRIME_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -92,9 +108,6 @@ class IntMatrix:
 
     def row(self, i: int) -> tuple[int, ...]:
         return self.entries[i]
-
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(r[j] for r in self.entries)
 
     def to_lists(self) -> list[list[int]]:
         return [list(row) for row in self.entries]
@@ -178,112 +191,71 @@ class SmithForm:
     def diagonal(self) -> tuple[int, ...]:
         return tuple(self.d[i, i] for i in range(min(self.d.rows, self.d.cols)))
 
-    def invariant_factors(self) -> tuple[int, ...]:
-        """Nonzero diagonal entries: the invariant factors of the image lattice."""
-        return tuple(x for x in self.diagonal() if x != 0)
 
-    def rank(self) -> int:
-        return len(self.invariant_factors())
-
-
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, s, t) with g = gcd(a, b) >= 0 and s*a + t*b = g."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        return -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
+def _least(values: list[int]) -> int | None:
+    """Index of a least nonzero entry of ``values`` in absolute value, or
+    None when every entry is zero."""
+    m = min(map(abs, filter(None, values)), default=0)
+    if not m:
+        return None
+    return values.index(m) if m in values else values.index(-m)
 
 
 def _diagonalize(a: list[list[int]], nr: int, nc: int) -> None:
     """Bring the leading ``nr`` x ``nc`` block of the grid ``a`` to Smith
     form in place.
 
-    Classical elementary reduction: move a minimal nonzero entry of the
-    trailing block to the pivot position, then alternately clear the pivot
-    column and row.  Each offending pair (pivot, entry) is resolved by one
-    unimodular 2x2 transform built from the extended gcd (a single-shot
-    Euclid cascade, which keeps intermediate entries from churning), and
-    any trailing entry the pivot fails to divide is folded into the pivot
-    row so the divisibility chain holds.  Finally each pivot row is
-    negated where its pivot is negative.
+    Textbook elementary reduction (Cohen, GTM 138, Section 2.4): move a
+    least nonzero entry of the trailing block to the pivot position, then
+    subtract multiples of the pivot row and column from the others, leaving
+    only remainders of division by the fixed pivot.  The least remainder
+    left in the pivot column or row becomes the next pivot.  Once both are
+    clear, a row holding an entry the pivot does not divide is added to the
+    pivot row, so the next pass leaves a smaller remainder and the
+    divisibility chain holds.  Finally each pivot row is negated where its
+    pivot is negative.
 
     Operations act on whole rows and columns of ``a``, but every pivot
     choice and test reads only the leading block, so entries outside it ride
     along as witnesses.  Rows below the block may be shorter: row operations
     never reach them.
     """
-    t = 0
-    while t < nr and t < nc:
-        best: tuple[int, int] | None = None
-        best_abs = 0
-        for i in range(t, nr):
-            for j in range(t, nc):
-                x = a[i][j]
-                if x != 0 and (best is None or abs(x) < best_abs):
-                    best = (i, j)
-                    best_abs = abs(x)
-        if best is None:
+    for t in range(min(nr, nc)):
+        k = _least(list(chain.from_iterable(row[t:nc] for row in a[t:nr])))
+        if k is None:
             break
-        bi, bj = best
-        if bi != t:
-            a[t], a[bi] = a[bi], a[t]
-        if bj != t:
-            for row in a:
-                row[t], row[bj] = row[bj], row[t]
+        bi, bj = t + k // (nc - t), t + k % (nc - t)
         while True:
-            for i in range(t + 1, nr):
-                y = a[i][t]
-                if y == 0:
-                    continue
-                x = a[t][t]
-                if y % x == 0:
-                    c = -(y // x)
-                    a[i] = [p + c * q for p, q in zip(a[i], a[t])]
-                else:
-                    g, s, w = _xgcd(x, y)
-                    yg, xg = y // g, x // g
-                    a[t], a[i] = (
-                        [s * p + w * q for p, q in zip(a[t], a[i])],
-                        [xg * q - yg * p for p, q in zip(a[t], a[i])],
-                    )
-            for j in range(t + 1, nc):
-                y = a[t][j]
-                if y == 0:
-                    continue
-                x = a[t][t]
-                if y % x == 0:
-                    c = -(y // x)
-                    for row in a:
-                        row[j] += c * row[t]
-                else:
-                    # the pivot shrinks to gcd(x, y); this may refill the
-                    # pivot column, hence the outer loop
-                    g, s, w = _xgcd(x, y)
-                    yg, xg = y // g, x // g
-                    for row in a:
-                        p, q = row[t], row[j]
-                        row[t] = s * p + w * q
-                        row[j] = xg * q - yg * p
-            if any(a[i][t] != 0 for i in range(t + 1, nr)):
-                continue
+            if bi != t:
+                a[t], a[bi] = a[bi], a[t]
+            if bj != t:
+                for row in a:
+                    row[t], row[bj] = row[bj], row[t]
             pivot = a[t][t]
-            carrier = next(
-                (i for i in range(t + 1, nr) for j in range(t + 1, nc) if a[i][j] % pivot != 0),
-                None,
-            )
+            for i in range(t + 1, nr):
+                q = a[i][t] // pivot
+                if q:
+                    a[i] = [x - q * y for x, y in zip(a[i], a[t])]
+            # a column operation only changes rows with a nonzero entry in
+            # column t, and it leaves that column as it is
+            movers = [row for row in a if row[t]]
+            for j in range(t + 1, nc):
+                q = a[t][j] // pivot
+                if q:
+                    for row in movers:
+                        row[j] -= q * row[t]
+            column = [a[i][t] for i in range(t + 1, nr)]
+            k = _least(column + a[t][t + 1:nc])
+            if k is not None:
+                bi, bj = (t + 1 + k, t) if k < len(column) else (t, t + 1 + k - len(column))
+                continue
+            if abs(pivot) == 1:
+                break
+            carrier = next((i for i in range(t + 1, nr) if any(x % pivot for x in a[i][t + 1:nc])), None)
             if carrier is None:
                 break
-            # fold the undivided entry's row into the pivot row; the next
-            # sweep gcds the pivot down toward it
-            a[t] = [p + q for p, q in zip(a[t], a[carrier])]
-        t += 1
+            a[t] = [x + y for x, y in zip(a[t], a[carrier])]
+            bi = bj = t
 
     for i in range(min(nr, nc)):
         if a[i][i] < 0:
@@ -335,10 +307,6 @@ class FgAbGroup:
     @property
     def is_trivial(self) -> bool:
         return self.free_rank == 0 and not self.invariant_factors
-
-    @property
-    def is_finite(self) -> bool:
-        return self.free_rank == 0
 
     def order(self) -> int | None:
         """Group order, or None when infinite."""

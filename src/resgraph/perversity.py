@@ -8,10 +8,10 @@ verifies the defining inequalities rather than computing the functors.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from .dualgraph import _json_field, _json_loads, _json_object
 from .errors import EmptyInputError, GraphFormatError
 
 # delta(x) = 2 - dim of the local ring at x; presets for the three kinds of
@@ -72,29 +72,15 @@ def weight_of_cohomology(n: int, w: int) -> int:
 # Strata JSON
 
 def strata_from_obj(obj) -> tuple[StratumProfile, ...]:
-    if not isinstance(obj, dict):
-        raise GraphFormatError("strata input must be a JSON object")
-    unknown = set(obj) - {"strata"}
-    if unknown:
-        raise GraphFormatError(f"strata input: unknown keys {sorted(unknown)}")
-    items = obj.get("strata")
-    if not isinstance(items, list):
-        raise GraphFormatError("strata input: 'strata' must be an array")
+    _json_object(obj, {"strata"}, "strata input", "strata input must be a JSON object")
+    items = _json_field(obj, "strata", list, "strata input")
     out = []
     for i, sobj in enumerate(items):
         where = f"strata[{i}]"
-        if not isinstance(sobj, dict):
-            raise GraphFormatError(f"{where}: must be an object")
-        unknown = set(sobj) - {"label", "delta", "stalk", "costalk"}
-        if unknown:
-            raise GraphFormatError(f"{where}: unknown keys {sorted(unknown)}")
-        label = sobj.get("label")
-        if not isinstance(label, str):
-            raise GraphFormatError(f"{where}: 'label' must be a string")
+        _json_object(sobj, {"label", "delta", "stalk", "costalk"}, where)
+        label = _json_field(sobj, "label", str, where)
         if "delta" in sobj:
-            delta = sobj["delta"]
-            if type(delta) is not int:
-                raise GraphFormatError(f"{where}: 'delta' must be an integer")
+            delta = _json_field(sobj, "delta", int, where)
         elif label in DELTA_PRESETS:
             delta = DELTA_PRESETS[label]
         else:
@@ -114,8 +100,4 @@ def strata_from_obj(obj) -> tuple[StratumProfile, ...]:
 
 
 def parse_strata(text: str) -> tuple[StratumProfile, ...]:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise GraphFormatError(f"invalid JSON: {exc}") from exc
-    return strata_from_obj(obj)
+    return strata_from_obj(_json_loads(text))

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Literal
 
-from .classgrp import class_group_ell
+from .classgrp import theta_matrix
 from .curvehom import deg_surjectivity
 from .dualgraph import DualGraph, intersection_matrix, is_connected, validate
 from .errors import NotConnectedError, NotNegativeDefiniteError, ValidationFailedError
@@ -101,7 +101,8 @@ def local_homology_rational(g: DualGraph, ell: int, mode: Mode = "integral") -> 
     report = validate(g, ell)
     if not report.overall:
         raise ValidationFailedError(report)
-    h2 = class_group_ell(g, ell)
+    # validate has already checked the gates of class_group_ell
+    h2 = ell_primary(cokernel(theta_matrix(g).matrix), ell).twisted(1)
     h2_note = "l-primary divisor class group, twist 1"
     if mode == "rational":
         h2 = h2.without_torsion()

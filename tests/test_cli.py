@@ -281,6 +281,16 @@ class TestExitCodes:
         code, _, _ = run_cli(capsys, "check", "catalog:A1", "--ell", "6")
         assert code == 2
 
+    def test_large_prime_ell_answers(self, capsys):
+        code, out, _ = run_cli(capsys, "check", "catalog:E8", "--ell", "2305843009213693951")
+        assert code == 0
+        assert "ell: 2305843009213693951\n" in out
+
+    def test_ell_beyond_primality_bound_is_usage_error(self, capsys):
+        code, _, err = run_cli(capsys, "check", "catalog:A1", "--ell", "3317044064679887385961981")
+        assert code == 2
+        assert "3317044064679887385961981" in err
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "classgroup", str(tmp_path / "nope.json"))
         assert code == 3

@@ -1,4 +1,6 @@
 import random
+from itertools import combinations
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -55,6 +57,30 @@ def matrices(max_dim=4, lo=-5, hi=5):
             ).map(IntMatrix.from_rows)
         )
     )
+
+
+def determinantal_divisors(rows, r, c):
+    """[D_0, D_1, ...] with D_0 = 1 and D_i the gcd of the i x i minors."""
+    divisors = [1]
+    for i in range(1, min(r, c) + 1):
+        g = 0
+        for ri in combinations(range(r), i):
+            for ci in combinations(range(c), i):
+                g = gcd(g, int(det_fraction([[rows[a][b] for b in ci] for a in ri])))
+        divisors.append(g)
+    return divisors
+
+
+def sparse_rows(rng, n, density, bound):
+    return [[rng.randint(-bound, bound) if rng.random() < density else 0 for _ in range(n)] for _ in range(n)]
+
+
+def assert_witnessed(m):
+    snf = smith_normal_form(m)
+    assert snf.u @ m @ snf.v == snf.d
+    assert abs(snf.u.det()) == 1
+    assert abs(snf.v.det()) == 1
+    return snf
 
 
 class TestIntMatrix:
@@ -139,6 +165,46 @@ class TestSmithNormalForm:
         assert snf.u @ m @ snf.v == snf.d
         assert abs(snf.u.det()) == 1
         assert abs(snf.v.det()) == 1
+
+    @settings(max_examples=80, deadline=None)
+    @given(matrices())
+    def test_matches_determinantal_divisors(self, m):
+        # the i-th invariant factor is D_i / D_(i-1), read off minors alone
+        divisors = determinantal_divisors(m.to_lists(), m.rows, m.cols)
+        rank = sum(1 for x in divisors[1:] if x != 0)
+        diag = [divisors[i] // divisors[i - 1] for i in range(1, rank + 1)]
+        diag += [0] * (min(m.rows, m.cols) - rank)
+        assert smith_normal_form(m).diagonal() == tuple(diag)
+        assert cokernel(m) == FgAbGroup(m.rows - rank, tuple(x for x in diag if x >= 2))
+
+    def test_sparse_40_wide_entries(self):
+        rng = random.Random(40)
+        for _ in range(2):
+            rows = sparse_rows(rng, 40, 0.2, 100)
+            m = IntMatrix.from_rows(rows)
+            det = det_fraction(rows)
+            group = cokernel(m)
+            if det:
+                assert group.order() == abs(det)
+            else:
+                assert group.free_rank >= 1
+            assert_witnessed(m)
+
+    def test_sparse_60_small_entries_and_singular(self):
+        rng = random.Random(60)
+        rows = sparse_rows(rng, 60, 0.1, 5)
+        while det_fraction(rows) == 0:
+            rows = sparse_rows(rng, 60, 0.1, 5)
+        m = IntMatrix.from_rows(rows)
+        assert cokernel(m).order() == abs(det_fraction(rows))
+        assert_witnessed(m)
+        # replacing the last row by the sum of the first two leaves rank 59,
+        # since the first 59 rows of a nonsingular matrix are independent
+        rows[-1] = [x + y for x, y in zip(rows[0], rows[1])]
+        singular = IntMatrix.from_rows(rows)
+        assert det_fraction(rows) == 0
+        assert cokernel(singular).free_rank == 1
+        assert_witnessed(singular)
 
     def test_no_entry_swell_on_dense_matrices(self):
         # regression: a remainder-swap cascade used to blow intermediate
@@ -355,3 +421,17 @@ def test_is_prime():
     composites = [-3, 0, 1, 4, 6, 9, 91]
     assert all(is_prime(p) for p in primes)
     assert not any(is_prime(c) for c in composites)
+
+
+def test_is_prime_large():
+    assert is_prime(2**61 - 1)
+    # strong pseudoprimes to the prime bases up to 7, 23 and 37
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not is_prime(n)
+    assert all(is_prime(n) == all(n % f for f in range(2, n)) for n in range(2, 2000))
+
+
+def test_is_prime_refuses_beyond_its_bound():
+    assert not is_prime(3317044064679887385961981 - 1)
+    with pytest.raises(ValueError, match="3317044064679887385961981"):
+        is_prime(3317044064679887385961981)
