@@ -47,7 +47,10 @@ def theta_matrix(g: DualGraph) -> ThetaMatrix:
     Raises DivisibilityViolationError if some d_j fails to divide an
     intersection number in its column.
     """
-    inter = intersection_matrix(g)
+    return _theta_from(g, intersection_matrix(g))
+
+
+def _theta_from(g: DualGraph, inter: IntMatrix) -> ThetaMatrix:
     n = g.n
     rows = []
     for j, v in enumerate(g.vertices):
@@ -72,8 +75,9 @@ def class_group(g: DualGraph) -> FgAbGroup:
     (which also implies the map is injective), so the result never has free
     rank.  Raises NotNegativeDefiniteError otherwise.
     """
-    theta = theta_matrix(g)
-    if not is_negative_definite(intersection_matrix(g)):
+    inter = intersection_matrix(g)
+    theta = _theta_from(g, inter)
+    if not is_negative_definite(inter):
         raise NotNegativeDefiniteError(
             f"intersection matrix of {g.name!r} is not negative definite")
     return cokernel(theta.matrix)

@@ -181,6 +181,7 @@ def validate(g: DualGraph, ell: int) -> ValidationReport:
     checks = [CheckResult("symmetric", True, "intersection matrix is symmetric by construction")]
 
     nd = is_negative_definite(inter)
+    # definiteness ignores vertex order, so by Sylvester these hold of the minors in graph order too
     checks.append(CheckResult(
         "negative_definite", nd,
         "all leading principal minors alternate in sign" if nd

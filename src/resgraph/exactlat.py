@@ -4,8 +4,13 @@ Matrices over the integers, Smith normal form with unimodular witnesses,
 cokernels in invariant-factor form, the Sylvester negative-definiteness
 test, and the l-primary part of a finitely generated abelian group.
 
+Definiteness is decided by symmetric elimination over the rationals on the
+nonzero pattern, in minimum-degree order (Rose 1970; George-Liu 1981), so
+a forest is eliminated leaves first with no fill.
+
 Everything here is exact: entries are Python integers (arbitrary precision)
-and no floating point is used anywhere in this module.
+or, inside the elimination, ratios of them; no floating point is used
+anywhere in this module.
 """
 
 from __future__ import annotations
@@ -13,8 +18,9 @@ from __future__ import annotations
 import operator
 from collections.abc import Iterator
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from itertools import chain
-from math import prod
+from math import gcd, prod
 
 from .errors import NonSquareError, NonSymmetricError
 
@@ -132,51 +138,34 @@ class IntMatrix:
     def is_symmetric(self) -> bool:
         if not self.is_square:
             return False
-        e = self.entries
-        return all(e[i][j] == e[j][i] for i in range(self.rows) for j in range(i + 1, self.cols))
+        return self.entries == tuple(zip(*self.entries))
 
     def det(self) -> int:
         """Exact determinant by fraction-free (Bareiss) elimination."""
         if not self.is_square:
             raise NonSquareError(f"determinant of a {self.rows}x{self.cols} matrix")
-        sign, last = 1, 1
-        for last, swapped in _bareiss(self.to_lists()):
-            if swapped:
+        a = self.to_lists()
+        n = len(a)
+        sign, prev = 1, 1
+        for k in range(n):
+            if a[k][k] == 0:
+                i = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+                if i is None:
+                    return 0
+                a[k], a[i] = a[i], a[k]
                 sign = -sign
-        return sign * last
+            top = a[k]
+            pivot = top[k]
+            for i in range(k + 1, n):
+                row = a[i]
+                c = row[k]
+                for j in range(k + 1, n):
+                    row[j] = (pivot * row[j] - c * top[j]) // prev
+            prev = pivot
+        return sign * prev
 
     def __str__(self) -> str:
         return "[" + "; ".join(" ".join(str(x) for x in row) for row in self.entries) + "]"
-
-
-def _bareiss(a: list[list[int]]) -> Iterator[tuple[int, bool]]:
-    """Fraction-free (Bareiss) elimination of the square grid ``a`` in place.
-
-    Yields ``(pivot, swapped)`` before eliminating with each pivot, where
-    ``swapped`` says a zero pivot was swapped for a lower row's nonzero entry.
-    Without swaps pivot k is the leading principal minor of order k + 1; the
-    last pivot, signed by the swaps, is the determinant (0 ends the pass).
-    """
-    n = len(a)
-    prev = 1
-    for k in range(n):
-        swapped = False
-        if a[k][k] == 0:
-            i = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if i is not None:
-                a[k], a[i] = a[i], a[k]
-                swapped = True
-        pivot = a[k][k]
-        yield pivot, swapped
-        if pivot == 0:
-            return
-        top = a[k]
-        for i in range(k + 1, n):
-            row = a[i]
-            c = row[k]
-            for j in range(k + 1, n):
-                row[j] = (pivot * row[j] - c * top[j]) // prev
-        prev = pivot
 
 
 @dataclass(frozen=True)
@@ -344,23 +333,76 @@ def cokernel(m: IntMatrix) -> FgAbGroup:
     )
 
 
-def is_negative_definite(m: IntMatrix) -> bool:
-    """Sylvester criterion in exact arithmetic: (-1)^k * minor_k > 0 for
-    every leading principal minor.
+_Ratio = tuple[int, int]  # numerator, denominator > 0, in lowest terms
 
-    Uses one fraction-free elimination pass whose pivots are exactly the
-    leading principal minors while no row swap is needed; a swap, or a zero
-    or wrong-signed pivot, short-circuits.
-    The empty matrix is vacuously negative definite.
+
+def _schur(a: _Ratio, b: _Ratio, c: _Ratio, p: _Ratio) -> _Ratio:
+    """a - b * c / p, the update of one Schur complement entry."""
+    num = a[0] * b[1] * c[1] * p[0] - b[0] * c[0] * a[1] * p[1]
+    den = a[1] * b[1] * c[1] * p[0]
+    if den < 0:
+        num, den = -num, -den
+    g = gcd(num, den)
+    return num // g, den // g
+
+
+def _symmetric_pivots(m: IntMatrix) -> Iterator[_Ratio]:
+    """Pivots of symmetric Gaussian elimination of the symmetric ``m`` over
+    the rationals, on its nonzero pattern (a dict of neighbours per index),
+    taking an index of least current degree at each step (minimum degree):
+    a forest is eliminated leaves first with no fill.
+
+    The pivots are those of P m P^T for the permutation P of the elimination
+    order; while none is zero their product is det m.  The pass ends after
+    the first zero pivot.  Rationals are integer pairs rather than
+    ``Fraction`` values, which cost a module import and run 2-3 times slower.
+    """
+    n = m.rows
+    diag = [(m.entries[i][i], 1) for i in range(n)]
+    adj = [{j: (x, 1) for j, x in enumerate(row) if x and j != i} for i, row in enumerate(m.entries)]
+    heap = [(len(nbrs), i) for i, nbrs in enumerate(adj)]
+    heapify(heap)
+    done = [False] * n
+    while heap:
+        degree, v = heappop(heap)
+        if done[v] or degree != len(adj[v]):
+            continue  # stale entry: v is eliminated or its degree changed
+        done[v] = True
+        pivot = diag[v]
+        yield pivot
+        if not pivot[0]:
+            return
+        nbrs = list(adj[v].items())
+        for u, _ in nbrs:
+            del adj[u][v]
+        for k, (u, x) in enumerate(nbrs):
+            diag[u] = _schur(diag[u], x, x, pivot)
+            row = adj[u]
+            for w, y in nbrs[k + 1:]:
+                z = _schur(row.get(w, (0, 1)), x, y, pivot)
+                if z[0]:
+                    row[w] = adj[w][u] = z
+                else:  # cancellation: x * y != 0, so a_uw was nonzero
+                    del row[w], adj[w][u]
+            heappush(heap, (len(row), u))
+
+
+def is_negative_definite(m: IntMatrix) -> bool:
+    """Sylvester criterion in exact arithmetic, by sparse elimination.
+
+    P m P^T is negative definite iff m is, and that holds iff every pivot
+    of its symmetric Gaussian elimination is negative, so the pivots may be
+    taken in any order.  They are taken in minimum-degree order on the nonzero
+    pattern (Rose 1970, "Triangulated graphs and the elimination process",
+    J. Math. Anal. Appl. 32; George-Liu 1981, Computer Solution of Large
+    Sparse Positive Definite Systems), and the pass stops at the first
+    pivot >= 0.  The empty matrix is vacuously negative definite.
     """
     if not m.is_square:
         raise NonSquareError(f"definiteness of a {m.rows}x{m.cols} matrix")
     if not m.is_symmetric():
         raise NonSymmetricError("definiteness requires a symmetric matrix")
-    for k, (minor, swapped) in enumerate(_bareiss(m.to_lists())):
-        if swapped or minor == 0 or ((minor > 0) if k % 2 == 0 else (minor < 0)):
-            return False
-    return True
+    return all(num < 0 for num, _ in _symmetric_pivots(m))
 
 
 @dataclass(frozen=True)

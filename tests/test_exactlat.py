@@ -1,17 +1,20 @@
 import random
+from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from resgraph.dualgraph import gen_ade, intersection_matrix
 from resgraph.errors import NonSquareError, NonSymmetricError
 from resgraph.exactlat import (
     FgAbGroup,
     IntMatrix,
     LModule,
     LSummand,
+    _symmetric_pivots,
     cokernel,
     ell_primary,
     is_negative_definite,
@@ -57,6 +60,22 @@ def matrices(max_dim=4, lo=-5, hi=5):
             ).map(IntMatrix.from_rows)
         )
     )
+
+
+@st.composite
+def symmetric_rows(draw, max_dim=7):
+    """Symmetric integer grids shaped like intersection matrices and worse:
+    zero and positive diagonals, sparse patterns with cycles, entries >= 2
+    (multiple intersections), and singular rows summing to zero."""
+    n = draw(st.integers(min_value=0, max_value=max_dim))
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = draw(st.sampled_from((0, 0, 0, 1, 1, 2, -1)))
+    singular = draw(st.booleans())
+    for i in range(n):
+        rows[i][i] = -sum(rows[i]) if singular else draw(st.integers(min_value=-6, max_value=1))
+    return rows
 
 
 def determinantal_divisors(rows, r, c):
@@ -309,6 +328,31 @@ class TestNegativeDefinite:
             is_negative_definite(IntMatrix.from_rows([[1, 2]]))
         with pytest.raises(NonSymmetricError):
             is_negative_definite(IntMatrix.from_rows([[1, 2], [3, 4]]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(symmetric_rows())
+    def test_matches_leading_minors_and_pivot_product(self, rows):
+        m = IntMatrix.from_rows(rows)
+        verdict = is_negative_definite(m)
+        minors = leading_principal_minors(rows)
+        assert verdict == all((minor < 0) if k % 2 else (minor > 0) for k, minor in enumerate(minors, start=1))
+        witness = quadratic_form_violation(rows, bound=2 if len(rows) <= 5 else 1)
+        if verdict:
+            assert witness is None
+        if witness is not None:
+            assert not verdict
+        ratios = list(_symmetric_pivots(m))
+        assert all(den > 0 and gcd(num, den) == 1 for num, den in ratios)
+        pivots = [Fraction(num, den) for num, den in ratios]
+        if len(pivots) == m.rows and all(pivots):
+            assert prod(pivots) == det_fraction(rows)
+
+    def test_long_chains(self):
+        m = intersection_matrix(gen_ade("A", 2000))
+        assert is_negative_definite(m)
+        # a -2, -1, -2 run is a singular 3 x 3 principal block
+        row = m.row(1000)[:1000] + (-1,) + m.row(1000)[1001:]
+        assert not is_negative_definite(IntMatrix(m.rows, m.cols, m.entries[:1000] + (row,) + m.entries[1001:]))
 
     def test_agrees_with_bounded_sign_search(self):
         rng = random.Random(31)
