@@ -12,8 +12,6 @@ profiles can list the degree-2 homology of the singularity directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .dualgraph import DualGraph, intersection_matrix
 from .errors import (
     DivisibilityViolationError,
@@ -24,21 +22,21 @@ from .exactlat import (
     FgAbGroup,
     IntMatrix,
     LModule,
+    Value,
     cokernel,
     ell_primary,
     is_negative_definite,
 )
 
 
-@dataclass(frozen=True)
-class ThetaMatrix:
+class ThetaMatrix(Value):
     """Matrix of the rescaled pairing map from the divisor lattice to its
     dual: entry (j, i) is (E_i, E_j) / d_j, an exact integer (row j is row j
     of the intersection matrix divided by d_j).  Kept with the graph it
     came from."""
 
-    matrix: IntMatrix
-    graph: DualGraph
+    def __init__(self, matrix: IntMatrix, graph: DualGraph):
+        super().__init__(matrix=matrix, graph=graph)
 
 
 def theta_matrix(g: DualGraph) -> ThetaMatrix:

@@ -11,15 +11,14 @@ one leaf component at a time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .dualgraph import DualGraph, connected_components, is_forest
 from .errors import EmptyInputError, LengthMismatchError, NotAForestError
-from .exactlat import LModule
+from .exactlat import LModule, Value
 
-@dataclass(frozen=True)
-class CurveProfile:
+
+class CurveProfile(Value):
     """Graded homology/cohomology of a curve configuration.
 
     ``homology[q]`` and ``cohomology[q]`` for q = 0, 1, 2; degree-2 pieces
@@ -27,12 +26,9 @@ class CurveProfile:
     in ``basis_labels``) with twist tags +1 and -1 respectively.
     """
 
-    r: int
-    n: int
-    ell: int
-    homology: tuple[LModule, LModule, LModule]
-    cohomology: tuple[LModule, LModule, LModule]
-    basis_labels: tuple[str, ...]
+    def __init__(self, r: int, n: int, ell: int, homology: tuple[LModule, LModule, LModule],
+                 cohomology: tuple[LModule, LModule, LModule], basis_labels: tuple[str, ...]):
+        super().__init__(r=r, n=n, ell=ell, homology=homology, cohomology=cohomology, basis_labels=basis_labels)
 
 
 def _profile(r: int, n: int, ell: int, labels: tuple[str, ...]) -> CurveProfile:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
 from importlib import resources
 from math import gcd
 from pathlib import Path
@@ -21,66 +20,53 @@ from .errors import (
     NotCoprimeError,
     UnsupportedIndexError,
 )
-from .exactlat import IntMatrix, _require_prime, is_negative_definite
+from .exactlat import IntMatrix, Value, _require_prime, is_negative_definite
 
 
-@dataclass(frozen=True)
-class Vertex:
+class Vertex(Value):
     """Irreducible component: self-intersection number, gcd ``d`` of the
     degrees of invertible sheaves on it, and the residue degree of a chosen
     regular closed point (1 over a separably closed base with rational
     points, which is the typical case)."""
 
-    id: str
-    self_intersection: int
-    d: int = 1
-    residue_degree: int = 1
-
-    def __post_init__(self):
-        if not isinstance(self.id, str) or not self.id:
+    def __init__(self, id: str, self_intersection: int, d: int = 1, residue_degree: int = 1):
+        if not isinstance(id, str) or not id:
             raise GraphFormatError("vertex id must be a nonempty string")
-        if self.d < 1:
-            raise GraphFormatError(f"vertex {self.id!r}: d must be >= 1")
-        if self.residue_degree < 1:
-            raise GraphFormatError(f"vertex {self.id!r}: residue_degree must be >= 1")
+        if d < 1:
+            raise GraphFormatError(f"vertex {id!r}: d must be >= 1")
+        if residue_degree < 1:
+            raise GraphFormatError(f"vertex {id!r}: residue_degree must be >= 1")
+        super().__init__(id=id, self_intersection=self_intersection, d=d, residue_degree=residue_degree)
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(Value):
     """Unordered intersection record; multiplicity m is the intersection
     number (E_i, E_j) >= 1 between the two components."""
 
-    a: str
-    b: str
-    m: int = 1
-
-    def __post_init__(self):
-        if self.a == self.b:
-            raise GraphFormatError(f"edge endpoints must differ: {self.a!r}")
-        if self.m < 1:
-            raise GraphFormatError(f"edge {self.a!r}-{self.b!r}: multiplicity must be >= 1")
+    def __init__(self, a: str, b: str, m: int = 1):
+        if a == b:
+            raise GraphFormatError(f"edge endpoints must differ: {a!r}")
+        if m < 1:
+            raise GraphFormatError(f"edge {a!r}-{b!r}: multiplicity must be >= 1")
+        super().__init__(a=a, b=b, m=m)
 
 
-@dataclass(frozen=True)
-class DualGraph:
-    name: str
-    vertices: tuple[Vertex, ...]
-    edges: tuple[Edge, ...]
-
-    def __post_init__(self):
-        ids = [v.id for v in self.vertices]
+class DualGraph(Value):
+    def __init__(self, name: str, vertices: tuple[Vertex, ...], edges: tuple[Edge, ...]):
+        ids = [v.id for v in vertices]
         if len(set(ids)) != len(ids):
             dup = next(x for i, x in enumerate(ids) if x in ids[:i])
             raise GraphFormatError(f"duplicate vertex id {dup!r}")
         known = set(ids)
         seen_pairs = set()
-        for e in self.edges:
+        for e in edges:
             if e.a not in known or e.b not in known:
                 raise GraphFormatError(f"edge {e.a!r}-{e.b!r} references a missing vertex")
             pair = frozenset((e.a, e.b))
             if pair in seen_pairs:
                 raise GraphFormatError(f"more than one edge record for pair {e.a!r}-{e.b!r}")
             seen_pairs.add(pair)
+        super().__init__(name=name, vertices=vertices, edges=edges)
 
     @property
     def n(self) -> int:
@@ -145,16 +131,14 @@ def is_forest(g: DualGraph) -> bool:
     return len(g.edges) == g.n - len(connected_components(g))
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
+class CheckResult(Value):
+    def __init__(self, name: str, passed: bool, detail: str):
+        super().__init__(name=name, passed=passed, detail=detail)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    checks: tuple[CheckResult, ...]
+class ValidationReport(Value):
+    def __init__(self, checks: tuple[CheckResult, ...]):
+        super().__init__(checks=checks)
 
     @property
     def overall(self) -> bool:

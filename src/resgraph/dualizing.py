@@ -13,8 +13,6 @@ l-part, with that part as stalk).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .classgrp import theta_matrix
 from .dualgraph import (
     DualGraph,
@@ -26,48 +24,37 @@ from .dualgraph import (
     validate,
 )
 from .errors import GraphFormatError, ValidationFailedError, WrongLengthError
-from .exactlat import FgAbGroup, LModule, cokernel, ell_primary
+from .exactlat import FgAbGroup, LModule, Value, cokernel, ell_primary
 
 
-@dataclass(frozen=True)
-class SingularPoint:
-    id: str
-    graph: DualGraph
+class SingularPoint(Value):
+    def __init__(self, id: str, graph: DualGraph):
+        super().__init__(id=id, graph=graph)
 
 
-@dataclass(frozen=True)
-class SurfaceSpec:
+class SurfaceSpec(Value):
     """A surface given by its name, coefficient prime, and the resolution
     graphs of its finitely many singular points."""
 
-    name: str
-    ell: int
-    points: tuple[SingularPoint, ...]
-
-    def __post_init__(self):
-        ids = [p.id for p in self.points]
+    def __init__(self, name: str, ell: int, points: tuple[SingularPoint, ...]):
+        ids = [p.id for p in points]
         if len(set(ids)) != len(ids):
             dup = next(x for i, x in enumerate(ids) if x in ids[:i])
             raise GraphFormatError(f"duplicate point id {dup!r}")
+        super().__init__(name=name, ell=ell, points=points)
 
 
-@dataclass(frozen=True)
-class PointVerdict:
-    id: str
-    class_group: FgAbGroup
-    ell_part: LModule
-    factorial: bool
+class PointVerdict(Value):
+    def __init__(self, id: str, class_group: FgAbGroup, ell_part: LModule, factorial: bool):
+        super().__init__(id=id, class_group=class_group, ell_part=ell_part, factorial=factorial)
 
 
-@dataclass(frozen=True)
-class DualizingReport:
-    name: str
-    ell: int
-    points: tuple[PointVerdict, ...]
-    q_ell_dualizing: bool
-    z_ell_dualizing: bool
-    k_minus4: LModule
-    k_minus2: tuple[tuple[str, LModule], ...]
+class DualizingReport(Value):
+    def __init__(self, name: str, ell: int, points: tuple[PointVerdict, ...], q_ell_dualizing: bool,
+                 z_ell_dualizing: bool, k_minus4: LModule, k_minus2: tuple[tuple[str, LModule], ...]):
+        super().__init__(
+            name=name, ell=ell, points=points, q_ell_dualizing=q_ell_dualizing,
+            z_ell_dualizing=z_ell_dualizing, k_minus4=k_minus4, k_minus2=k_minus2)
 
 
 def dualizing_report(spec: SurfaceSpec) -> DualizingReport:

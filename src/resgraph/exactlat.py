@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import operator
 from collections.abc import Iterator
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import chain
 from math import gcd, prod
@@ -62,29 +61,73 @@ def _require_prime(ell: int) -> None:
         raise ValueError(f"coefficient prime required, got {ell}")
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class Value:
+    """Immutable value: the fields are the instance ``__dict__``, set once
+    in field order by a subclass ``__init__`` that checks and normalises
+    its arguments and then calls ``super().__init__(**fields)``.  Equality
+    (same class, equal fields), hashing and ``repr`` are those of a frozen
+    dataclass, and assignment or deletion raises AttributeError.
+
+    Every value class of the package derives from this base rather than
+    from ``dataclasses``: that module imports ``inspect`` (and with it
+    ``ast``, ``dis`` and ``tokenize``) and then generates and compiles six
+    methods per class.  For the 20 value classes that was about 30 of the
+    70 ms that ``import resgraph.cli`` took (Python 3.11 on 2 vCPUs, no
+    bytecode cache), while the CLI's ``main`` runs in about 6 ms.
+
+    Fields are set one at a time, as a frozen dataclass sets them, so the
+    instances keep CPython's shared-key attribute storage.  A single
+    ``__dict__.update`` gives each instance a key table of its own: 302
+    against 166 bytes per ``Vertex``, and 12% more peak memory over three
+    rounds of seeded trees with their graphs kept.
+    """
+
+    def __init__(self, **fields):
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def _key(self) -> tuple:
+        """The compared and hashed fields."""
+        return tuple(vars(self).values())
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in vars(self).items())
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class IntMatrix(Value):
     """Immutable integer matrix, row-major.
 
     A 0x0 matrix is legal and behaves as the empty map; ``entries`` is a
     tuple of row tuples so values can be shared freely across threads.
     """
 
-    rows: int
-    cols: int
-    entries: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
+    def __init__(self, rows: int, cols: int, entries: tuple[tuple[int, ...], ...]):
+        if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        if len(self.entries) != self.rows:
+        if len(entries) != rows:
             raise ValueError("row count does not match entry grid")
-        for row in self.entries:
-            if len(row) != self.cols:
+        for row in entries:
+            if len(row) != cols:
                 raise ValueError("ragged entry grid")
             for x in row:
                 if type(x) is not int:
                     raise ValueError(f"integer entries required, got {x!r}")
+        super().__init__(rows=rows, cols=cols, entries=entries)
 
     @classmethod
     def from_rows(cls, data) -> "IntMatrix":
@@ -168,14 +211,12 @@ class IntMatrix:
         return "[" + "; ".join(" ".join(str(x) for x in row) for row in self.entries) + "]"
 
 
-@dataclass(frozen=True)
-class SmithForm:
+class SmithForm(Value):
     """Diagonalization witness: ``d == u @ m @ v`` with u, v unimodular and
     the diagonal of d nonnegative, each entry dividing the next."""
 
-    u: IntMatrix
-    d: IntMatrix
-    v: IntMatrix
+    def __init__(self, u: IntMatrix, d: IntMatrix, v: IntMatrix):
+        super().__init__(u=u, d=d, v=v)
 
     def diagonal(self) -> tuple[int, ...]:
         return tuple(self.d[i, i] for i in range(min(self.d.rows, self.d.cols)))
@@ -270,28 +311,24 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
     )
 
 
-@dataclass(frozen=True)
-class FgAbGroup:
+class FgAbGroup(Value):
     """Finitely generated abelian group: free rank plus invariant factors.
 
     Factors are >= 2 and each divides the next, so equality of values is
     equality of groups.  The group is finite iff ``free_rank == 0``.
     """
 
-    free_rank: int
-    invariant_factors: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        if self.free_rank < 0:
+    def __init__(self, free_rank: int, invariant_factors: tuple[int, ...] = ()):
+        if free_rank < 0:
             raise ValueError("free rank must be nonnegative")
-        factors = tuple(int(f) for f in self.invariant_factors)
-        object.__setattr__(self, "invariant_factors", factors)
+        factors = tuple(int(f) for f in invariant_factors)
         for f in factors:
             if f < 2:
                 raise ValueError(f"invariant factors must be >= 2, got {f}")
         for f, g in zip(factors, factors[1:]):
             if g % f != 0:
                 raise ValueError(f"invariant factors must form a divisibility chain: {f} does not divide {g}")
+        super().__init__(free_rank=free_rank, invariant_factors=factors)
 
     @property
     def is_trivial(self) -> bool:
@@ -405,45 +442,36 @@ def is_negative_definite(m: IntMatrix) -> bool:
     return all(num < 0 for num, _ in _symmetric_pivots(m))
 
 
-@dataclass(frozen=True)
-class LSummand:
+class LSummand(Value):
     """One graded piece of an l-adic module: a Tate-twist tag, a free rank,
     and cyclic torsion factors of order ell^e (exponents e >= 1)."""
 
-    twist: int
-    free_rank: int
-    torsion_exponents: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        if self.free_rank < 0:
+    def __init__(self, twist: int, free_rank: int, torsion_exponents: tuple[int, ...] = ()):
+        if free_rank < 0:
             raise ValueError("free rank must be nonnegative")
-        exps = tuple(int(e) for e in self.torsion_exponents)
-        object.__setattr__(self, "torsion_exponents", exps)
+        exps = tuple(int(e) for e in torsion_exponents)
         if any(e < 1 for e in exps):
             raise ValueError("torsion exponents must be >= 1")
+        super().__init__(twist=twist, free_rank=free_rank, torsion_exponents=exps)
 
     @property
     def is_zero(self) -> bool:
         return self.free_rank == 0 and not self.torsion_exponents
 
 
-@dataclass(frozen=True)
-class LModule:
+class LModule(Value):
     """Finitely generated module over the l-adic coefficient ring, as a sum
     of twist-tagged pieces.
 
     Twists are bookkeeping tags, never applied numerically.  Values are
     normalized on construction (zero pieces dropped, same-twist pieces
-    merged, sorted by twist) so dataclass equality is module isomorphism.
+    merged, sorted by twist) so value equality is module isomorphism.
     """
 
-    ell: int
-    summands: tuple[LSummand, ...] = ()
-
-    def __post_init__(self):
-        _require_prime(self.ell)
+    def __init__(self, ell: int, summands: tuple[LSummand, ...] = ()):
+        _require_prime(ell)
         merged: dict[int, tuple[int, list[int]]] = {}
-        for s in self.summands:
+        for s in summands:
             if not isinstance(s, LSummand):
                 s = LSummand(*s)
             if s.is_zero:
@@ -454,7 +482,7 @@ class LModule:
             LSummand(twist, rank, tuple(sorted(exps)))
             for twist, (rank, exps) in sorted(merged.items())
         )
-        object.__setattr__(self, "summands", normal)
+        super().__init__(ell=ell, summands=normal)
 
     @classmethod
     def zero(cls, ell: int) -> "LModule":

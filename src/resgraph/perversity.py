@@ -8,43 +8,37 @@ verifies the defining inequalities rather than computing the functors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .dualgraph import _json_field, _json_loads, _json_object
 from .errors import EmptyInputError, GraphFormatError
+from .exactlat import Value
 
 # delta(x) = 2 - dim of the local ring at x; presets for the three kinds of
 # points on a surface.
 DELTA_PRESETS = {"generic": 2, "curve": 1, "point": 0}
 
 
-@dataclass(frozen=True)
-class StratumProfile:
+class StratumProfile(Value):
     """One stratum: its dimension-function value and the degrees where the
     restriction (stalk) and exceptional restriction (costalk) of the
     complex under test have cohomology."""
 
-    label: str
-    delta: int
-    stalk_degrees: frozenset[int]
-    costalk_degrees: frozenset[int]
-
-    def __post_init__(self):
-        if not 0 <= self.delta <= 2:
-            raise ValueError(f"surface strata have delta in 0..2, got {self.delta}")
-        object.__setattr__(self, "stalk_degrees", frozenset(int(x) for x in self.stalk_degrees))
-        object.__setattr__(self, "costalk_degrees", frozenset(int(x) for x in self.costalk_degrees))
+    def __init__(self, label: str, delta: int, stalk_degrees: frozenset[int], costalk_degrees: frozenset[int]):
+        if not 0 <= delta <= 2:
+            raise ValueError(f"surface strata have delta in 0..2, got {delta}")
+        super().__init__(
+            label=label, delta=delta, stalk_degrees=frozenset(int(x) for x in stalk_degrees),
+            costalk_degrees=frozenset(int(x) for x in costalk_degrees))
 
     @classmethod
     def of(cls, label: str, delta: int, stalk: Iterable[int], costalk: Iterable[int]) -> "StratumProfile":
         return cls(label, delta, frozenset(stalk), frozenset(costalk))
 
 
-@dataclass(frozen=True)
-class PerversityVerdict:
-    left_ok: bool
-    right_ok: bool
+class PerversityVerdict(Value):
+    def __init__(self, left_ok: bool, right_ok: bool):
+        super().__init__(left_ok=left_ok, right_ok=right_ok)
 
     @property
     def perverse(self) -> bool:

@@ -14,7 +14,6 @@ homology rank.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Literal
 
 from .classgrp import theta_matrix
@@ -24,6 +23,7 @@ from .errors import NotConnectedError, NotNegativeDefiniteError, ValidationFaile
 from .exactlat import (
     LModule,
     LSummand,
+    Value,
     cokernel,
     ell_primary,
     is_negative_definite,
@@ -34,38 +34,35 @@ MAX_DEGREE = 5
 Mode = Literal["integral", "rational"]
 
 
-@dataclass(frozen=True)
-class GeneralCurveInput:
+class GeneralCurveInput(Value):
     """User-supplied curve data for configurations whose shape cannot
     certify the vanishing the closed-form route needs: the rank of the
     degree-1 cohomology of the exceptional curve, and optional rank data
     for its degree-1 homology (whose free rank becomes the free part of the
     surface's degree-2 homology)."""
 
-    h1_rank: int = 0
-    h2_torsion_hint: LModule | None = None
-
-    def __post_init__(self):
-        if self.h1_rank < 0:
+    def __init__(self, h1_rank: int = 0, h2_torsion_hint: LModule | None = None):
+        if h1_rank < 0:
             raise ValueError("h1_rank must be nonnegative")
+        super().__init__(h1_rank=h1_rank, h2_torsion_hint=h2_torsion_hint)
 
 
-@dataclass(frozen=True)
-class HomologyProfile:
+class HomologyProfile(Value):
     """Graded homology record for degrees 0..5, with one provenance note
     per degree saying which sequence produced the entry.  Entries vanish
-    outside degrees 1..4 (and outside twice the dimension)."""
+    outside degrees 1..4 (and outside twice the dimension).  The notes are
+    left out of equality and hashing."""
 
-    ell: int
-    entries: tuple[LModule, ...]
-    mode: Mode = "integral"
-    provenance: tuple[str, ...] = field(default=("",) * (MAX_DEGREE + 1), compare=False)
-
-    def __post_init__(self):
-        if len(self.entries) != MAX_DEGREE + 1:
+    def __init__(self, ell: int, entries: tuple[LModule, ...], mode: Mode = "integral",
+                 provenance: tuple[str, ...] = ("",) * (MAX_DEGREE + 1)):
+        if len(entries) != MAX_DEGREE + 1:
             raise ValueError(f"expected {MAX_DEGREE + 1} graded entries")
-        if len(self.provenance) != MAX_DEGREE + 1:
+        if len(provenance) != MAX_DEGREE + 1:
             raise ValueError(f"expected {MAX_DEGREE + 1} provenance notes")
+        super().__init__(ell=ell, entries=entries, mode=mode, provenance=provenance)
+
+    def _key(self) -> tuple:
+        return self.ell, self.entries, self.mode
 
     def entry(self, q: int) -> LModule:
         if 0 <= q <= MAX_DEGREE:

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import resgraph
 from resgraph.cli import main
 from resgraph.dualgraph import gen_ade, gen_hj, graph_from_obj, serialize_graph
 
@@ -324,3 +329,12 @@ class TestDeterminism:
         _, out, _ = run_cli(capsys, "homology", "catalog:A1", "--ell", "3", "--format", "json")
         keys = list(json.loads(out).keys())
         assert keys == ["schema", "kind", "graph", "ell", "mode", "entries", "provenance"]
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # -S keeps site packages, and whatever they import, out of the result
+    src = Path(resgraph.__file__).parents[1]
+    code = "import resgraph.cli, sys; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"
