@@ -12,6 +12,8 @@ profiles can list the degree-2 homology of the singularity directly.
 
 from __future__ import annotations
 
+import operator
+
 from .dualgraph import DualGraph, intersection_matrix
 from .errors import (
     DivisibilityViolationError,
@@ -49,20 +51,18 @@ def theta_matrix(g: DualGraph) -> ThetaMatrix:
 
 
 def _theta_from(g: DualGraph, inter: IntMatrix) -> ThetaMatrix:
-    n = g.n
-    rows = []
-    for j, v in enumerate(g.vertices):
-        row = []
-        for i in range(n):
-            pairing = inter[i, j]
+    # theta equals the symmetric inter in the rows where d_j = 1 and shares them; a float d fails operator.index
+    scaled = [(j, v) for j, v in enumerate(g.vertices) if type(v.d) is not int or v.d != 1]
+    for j, v in scaled:
+        for i, pairing in enumerate(inter.entries[j]):
             if pairing % v.d != 0:
                 raise DivisibilityViolationError(
                     f"d={v.d} of vertex {v.id!r} does not divide "
                     f"({g.vertices[i].id!r},{v.id!r}) = {pairing}")
-            row.append(pairing // v.d)
-        rows.append(row)
-    matrix = IntMatrix.from_rows(rows) if n else IntMatrix(0, 0, ())
-    return ThetaMatrix(matrix=matrix, graph=g)
+    rows = list(inter.entries)
+    for j, v in scaled:
+        rows[j] = tuple(map(operator.index, (x // v.d for x in rows[j])))
+    return ThetaMatrix(matrix=IntMatrix(g.n, g.n, tuple(rows)), graph=g)
 
 
 def class_group(g: DualGraph) -> FgAbGroup:

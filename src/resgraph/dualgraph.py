@@ -10,8 +10,8 @@ and continued-fraction chain families, and reads/writes the JSON format.
 from __future__ import annotations
 
 import json
+import operator
 import os
-from importlib import resources
 from math import gcd
 from pathlib import Path
 
@@ -90,12 +90,11 @@ def intersection_matrix(g: DualGraph) -> IntMatrix:
     idx = {v.id: i for i, v in enumerate(g.vertices)}
     a = [[0] * n for _ in range(n)]
     for i, v in enumerate(g.vertices):
-        a[i][i] = v.self_intersection
+        a[i][i] = int(operator.index(v.self_intersection))
     for e in g.edges:
         i, j = idx[e.a], idx[e.b]
-        a[i][j] = e.m
-        a[j][i] = e.m
-    return IntMatrix.from_rows(a) if n else IntMatrix(0, 0, ())
+        a[i][j] = a[j][i] = int(operator.index(e.m))
+    return IntMatrix(n, n, tuple(map(tuple, a)))
 
 
 def connected_components(g: DualGraph) -> list[list[int]]:
@@ -209,9 +208,15 @@ def validate(g: DualGraph, ell: int) -> ValidationReport:
     return ValidationReport(tuple(checks))
 
 
+# The most vertices a generated graph may have.
+MAX_GENERATED_VERTICES = 10_000
+
+
 def gen_ade(family: str, n: int) -> DualGraph:
     """Standard ADE test catalog: Dynkin-diagram adjacency, every
     self-intersection -2, every multiplicity and degree gcd 1."""
+    if n > MAX_GENERATED_VERTICES:
+        raise UnsupportedIndexError(f"a generated graph has at most {MAX_GENERATED_VERTICES} vertices, {family}{n} has {n}")
     if family == "A":
         if n < 1:
             raise UnsupportedIndexError(f"A_n requires n >= 1, got {n}")
@@ -234,7 +239,8 @@ def gen_ade(family: str, n: int) -> DualGraph:
 
 
 def hj_expansion(k: int, a: int) -> list[int]:
-    """Continued-fraction expansion k/a = b1 - 1/(b2 - 1/(...)), all bi >= 2."""
+    """Continued-fraction expansion k/a = b1 - 1/(b2 - 1/(...)), all bi >= 2,
+    of at most MAX_GENERATED_VERTICES terms."""
     if k < 2 or not 1 <= a < k:
         raise ValueError(f"need k >= 2 and 1 <= a < k, got k={k}, a={a}")
     if gcd(a, k) != 1:
@@ -244,6 +250,8 @@ def hj_expansion(k: int, a: int) -> list[int]:
     while den > 0:
         b = -(-num // den)
         bs.append(b)
+        if len(bs) > MAX_GENERATED_VERTICES:
+            raise UnsupportedIndexError(f"a generated graph has at most {MAX_GENERATED_VERTICES} vertices, HJ-{k}-{a} has more")
         num, den = den, b * den - num
     return bs
 
@@ -376,7 +384,7 @@ def _catalog_root():
     override = os.environ.get(CATALOG_ENV)
     if override:
         return Path(override)
-    return resources.files(__package__) / "catalog"
+    return Path(__file__).parent / "catalog"
 
 
 def catalog_names() -> list[str]:

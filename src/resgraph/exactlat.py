@@ -18,7 +18,7 @@ from __future__ import annotations
 import operator
 from collections.abc import Iterator
 from heapq import heapify, heappop, heappush
-from itertools import chain
+from itertools import chain, compress
 from math import gcd, prod
 
 from .errors import NonSquareError, NonSymmetricError
@@ -124,9 +124,8 @@ class IntMatrix(Value):
         for row in entries:
             if len(row) != cols:
                 raise ValueError("ragged entry grid")
-            for x in row:
-                if type(x) is not int:
-                    raise ValueError(f"integer entries required, got {x!r}")
+            if set(map(type, row)) - {int}:
+                raise ValueError(f"integer entries required, got {next(x for x in row if type(x) is not int)!r}")
         super().__init__(rows=rows, cols=cols, entries=entries)
 
     @classmethod
@@ -249,6 +248,12 @@ def _diagonalize(a: list[list[int]], nr: int, nc: int) -> None:
     choice and test reads only the leading block, so entries outside it ride
     along as witnesses.  Rows below the block may be shorter: row operations
     never reach them.
+
+    At step t the leading block is zero left of column t in rows t and
+    below, and zero from column t on in the rows above t.  So a row
+    operation rewrites only ``row[t:]``, and a column operation only rows
+    from t on; entries right of the block and rows below it lie inside those
+    ranges.
     """
     for t in range(min(nr, nc)):
         k = _least(list(chain.from_iterable(row[t:nc] for row in a[t:nr])))
@@ -259,16 +264,16 @@ def _diagonalize(a: list[list[int]], nr: int, nc: int) -> None:
             if bi != t:
                 a[t], a[bi] = a[bi], a[t]
             if bj != t:
-                for row in a:
+                for row in a[t:]:
                     row[t], row[bj] = row[bj], row[t]
             pivot = a[t][t]
             for i in range(t + 1, nr):
                 q = a[i][t] // pivot
                 if q:
-                    a[i] = [x - q * y for x, y in zip(a[i], a[t])]
+                    a[i][t:] = [x - q * y for x, y in zip(a[i][t:], a[t][t:])]
             # a column operation only changes rows with a nonzero entry in
             # column t, and it leaves that column as it is
-            movers = [row for row in a if row[t]]
+            movers = [row for row in a[t:] if row[t]]
             for j in range(t + 1, nc):
                 q = a[t][j] // pivot
                 if q:
@@ -284,12 +289,12 @@ def _diagonalize(a: list[list[int]], nr: int, nc: int) -> None:
             carrier = next((i for i in range(t + 1, nr) if any(x % pivot for x in a[i][t + 1:nc])), None)
             if carrier is None:
                 break
-            a[t] = [x + y for x, y in zip(a[t], a[carrier])]
+            a[t][t:] = [x + y for x, y in zip(a[t][t:], a[carrier][t:])]
             bi = bj = t
 
     for i in range(min(nr, nc)):
         if a[i][i] < 0:
-            a[i] = [-x for x in a[i]]
+            a[i][i:] = [-x for x in a[i][i:]]
 
 
 def smith_normal_form(m: IntMatrix) -> SmithForm:
@@ -396,7 +401,7 @@ def _symmetric_pivots(m: IntMatrix) -> Iterator[_Ratio]:
     """
     n = m.rows
     diag = [(m.entries[i][i], 1) for i in range(n)]
-    adj = [{j: (x, 1) for j, x in enumerate(row) if x and j != i} for i, row in enumerate(m.entries)]
+    adj = [{j: (row[j], 1) for j in compress(range(n), row) if j != i} for i, row in enumerate(m.entries)]
     heap = [(len(nbrs), i) for i, nbrs in enumerate(adj)]
     heapify(heap)
     done = [False] * n

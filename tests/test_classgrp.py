@@ -25,6 +25,15 @@ def single(selfint, d=1, residue=1):
     return DualGraph("one", (Vertex("v1", selfint, d, residue),), ())
 
 
+def two_bad_rows():
+    """d = 3 and d = 4 each fail to divide two entries of their rows."""
+    return DualGraph(
+        "two-bad",
+        (Vertex("v1", -6, d=3), Vertex("v2", -5), Vertex("v3", -6, d=4)),
+        (Edge("v1", "v2"), Edge("v2", "v3", 2)),
+    )
+
+
 class TestThetaMatrix:
     def test_a1(self):
         assert theta_matrix(gen_ade("A", 1)).matrix == IntMatrix.from_rows([[-2]])
@@ -35,6 +44,8 @@ class TestThetaMatrix:
     def test_equals_intersection_when_d_is_one(self):
         for name in catalog_names():
             g = load_catalog_graph(name)
+            assert theta_matrix(g).matrix == intersection_matrix(g)
+        for g in (gen_ade("D", 40), gen_hj(2**61 - 1, 2**35)):
             assert theta_matrix(g).matrix == intersection_matrix(g)
 
     def test_row_scaling_orientation(self):
@@ -50,9 +61,18 @@ class TestThetaMatrix:
     def test_divisibility_violation(self):
         with pytest.raises(DivisibilityViolationError):
             theta_matrix(single(-3, d=2))
+        # two rows fail; the error names the first entry of the first one
+        with pytest.raises(DivisibilityViolationError) as info:
+            theta_matrix(two_bad_rows())
+        assert str(info.value) == "d=3 of vertex 'v1' does not divide ('v2','v1') = 1"
 
     def test_empty_graph(self):
         assert theta_matrix(DualGraph("pt", (), ())).matrix.rows == 0
+
+    def test_float_d_is_refused(self):
+        for d in (1.0, 2.0):
+            with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+                theta_matrix(single(-4, d=d))
 
 
 class TestClassGroup:

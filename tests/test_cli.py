@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import jsonschema
@@ -260,6 +261,17 @@ class TestGen:
         code, _, err = run_cli(capsys, "gen", "hj", "4", "2")
         assert code == 1
 
+    @pytest.mark.parametrize("argv, name", [
+        (("hj", "100000000", "99999999"), "HJ-100000000-99999999 has more"),
+        (("ade", "A", "30000000"), "A30000000 has 30000000"),
+    ])
+    def test_vertex_limit_is_domain_error(self, capsys, argv, name):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "gen", *argv)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (1, "")
+        assert err == f"error: a generated graph has at most 10000 vertices, {name}\n"
+
 
 class TestCatalogCommand:
     def test_lists_names(self, capsys):
@@ -334,7 +346,7 @@ class TestDeterminism:
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
     # -S keeps site packages, and whatever they import, out of the result
     src = Path(resgraph.__file__).parents[1]
-    code = "import resgraph.cli, sys; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    code = "import resgraph.cli, sys; print(sorted({'dataclasses', 'inspect', 'importlib.resources'} & set(sys.modules)))"
     out = subprocess.run([sys.executable, "-S", "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
                          capture_output=True, text=True, check=True).stdout
     assert out == "[]\n"

@@ -5,6 +5,7 @@ from math import gcd
 import pytest
 
 from resgraph.dualgraph import (
+    MAX_GENERATED_VERTICES,
     DualGraph,
     Edge,
     Vertex,
@@ -90,6 +91,11 @@ class TestIntersectionMatrix:
         g = DualGraph("m2", (Vertex("a", -4), Vertex("b", -4)), (Edge("a", "b", 2),))
         assert intersection_matrix(g) == IntMatrix.from_rows([[-4, 2], [2, -4]])
 
+    def test_float_weight_is_refused(self):
+        g = DualGraph("f", (Vertex("a", -2), Vertex("b", -2.0)), (Edge("a", "b"),))
+        with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+            intersection_matrix(g)
+
     def test_permutation_invariance(self):
         rng = random.Random(5)
         g = gen_ade("D", 6)
@@ -134,6 +140,15 @@ class TestValidate:
     def test_divisibility_violation(self):
         report = validate(single(-3, d=2), 3)
         assert not report.check("divisibility").passed
+        g = DualGraph(
+            "two-bad",
+            (Vertex("v1", -6, d=3), Vertex("v2", -5), Vertex("v3", -6, d=4)),
+            (Edge("v1", "v2"), Edge("v2", "v3", 2)),
+        )
+        assert validate(g, 5).check("divisibility").detail == (
+            "d=3 of 'v1' does not divide ('v2','v1')=1; "
+            "d=4 of 'v3' does not divide ('v2','v3')=2; "
+            "d=4 of 'v3' does not divide ('v3','v3')=-6")
 
     def test_not_negative_definite(self):
         report = validate(single(2), 3)
@@ -190,6 +205,10 @@ class TestGenAde:
         for family, n in (("A", 0), ("D", 3), ("E", 5), ("E", 9), ("F", 4)):
             with pytest.raises(UnsupportedIndexError):
                 gen_ade(family, n)
+        assert gen_ade("A", MAX_GENERATED_VERTICES).n == MAX_GENERATED_VERTICES
+        for family in "ADE":
+            with pytest.raises(UnsupportedIndexError, match="at most 10000 vertices"):
+                gen_ade(family, MAX_GENERATED_VERTICES + 1)
 
     def test_all_pass_validation(self):
         for g in (gen_ade("A", 5), gen_ade("D", 5), gen_ade("E", 6)):
@@ -227,6 +246,13 @@ class TestGenHj:
                 if gcd(a, k) != 1:
                     continue
                 assert abs(intersection_matrix(gen_hj(k, a)).det()) == k
+
+    def test_vertex_limit(self):
+        # k/(k-1) expands to k-1 twos
+        assert len(hj_expansion(MAX_GENERATED_VERTICES + 1, MAX_GENERATED_VERTICES)) == MAX_GENERATED_VERTICES
+        for k, a in ((MAX_GENERATED_VERTICES + 2, MAX_GENERATED_VERTICES + 1), (10**8, 10**8 - 1)):
+            with pytest.raises(UnsupportedIndexError, match="at most 10000 vertices"):
+                gen_hj(k, a)
 
     def test_not_coprime(self):
         with pytest.raises(NotCoprimeError):

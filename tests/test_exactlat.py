@@ -105,11 +105,16 @@ def assert_witnessed(m):
 class TestIntMatrix:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
-            IntMatrix(2, 2, ((1, 2), (3,)))
-        with pytest.raises(ValueError):
             IntMatrix(-1, 0, ())
-        with pytest.raises(ValueError):
-            IntMatrix(1, 1, ((1.5,),))
+        for entries, message in (
+            (((1, 2), (3,)), "ragged entry grid"),
+            (((1, 2), (1.5, 3)), "integer entries required, got 1.5"),
+            (((True, 1), (3, 4)), "integer entries required, got True"),
+            (((1, 2), ("1", 2.5)), "integer entries required, got '1'"),
+        ):
+            with pytest.raises(ValueError) as info:
+                IntMatrix(2, 2, entries)
+            assert str(info.value) == message
 
     def test_empty_matrix_is_legal(self):
         m = IntMatrix(0, 0, ())
@@ -176,6 +181,18 @@ class TestSmithNormalForm:
                 for j in range(snf.d.cols):
                     if i != j:
                         assert snf.d[i, j] == 0
+
+    def test_witnesses_on_tall_and_wide(self):
+        # the witness columns of u and rows of v lie outside the leading
+        # block, beyond the shapes of the hypothesis strategy
+        rng = random.Random(95)
+        for _ in range(60):
+            r, c = rng.randint(5, 9), rng.randint(1, 5)
+            if rng.random() < 0.5:
+                r, c = c, r
+            m = IntMatrix.from_rows([[rng.randint(-30, 30) if rng.random() < 0.6 else 0 for _ in range(c)]
+                                     for _ in range(r)])
+            assert_witnessed(m)
 
     @settings(max_examples=80, deadline=None)
     @given(matrices())
