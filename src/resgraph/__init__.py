@@ -13,7 +13,6 @@ from .curvehom import (
     CurveProfile,
     curve_profile,
     deg_surjectivity,
-    degree_pairing,
     mv_profile,
 )
 from .dualgraph import (
@@ -49,7 +48,6 @@ from .errors import (
     EllNotCoprimeError,
     EmptyInputError,
     GraphFormatError,
-    LengthMismatchError,
     NonSquareError,
     NonSymmetricError,
     NotAForestError,

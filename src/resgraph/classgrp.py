@@ -12,9 +12,7 @@ profiles can list the degree-2 homology of the singularity directly.
 
 from __future__ import annotations
 
-import operator
-
-from .dualgraph import DualGraph, intersection_matrix
+from .dualgraph import DualGraph, _Analysis, _analyse
 from .errors import (
     DivisibilityViolationError,
     EllNotCoprimeError,
@@ -27,7 +25,6 @@ from .exactlat import (
     Value,
     cokernel,
     ell_primary,
-    is_negative_definite,
 )
 
 
@@ -47,22 +44,22 @@ def theta_matrix(g: DualGraph) -> ThetaMatrix:
     Raises DivisibilityViolationError if some d_j fails to divide an
     intersection number in its column.
     """
-    return _theta_from(g, intersection_matrix(g))
+    return ThetaMatrix(matrix=_theta(g, _analyse(g)), graph=g)
 
 
-def _theta_from(g: DualGraph, inter: IntMatrix) -> ThetaMatrix:
-    # theta equals the symmetric inter in the rows where d_j = 1 and shares them; a float d fails operator.index
-    scaled = [(j, v) for j, v in enumerate(g.vertices) if type(v.d) is not int or v.d != 1]
-    for j, v in scaled:
-        for i, pairing in enumerate(inter.entries[j]):
-            if pairing % v.d != 0:
-                raise DivisibilityViolationError(
-                    f"d={v.d} of vertex {v.id!r} does not divide "
-                    f"({g.vertices[i].id!r},{v.id!r}) = {pairing}")
-    rows = list(inter.entries)
-    for j, v in scaled:
-        rows[j] = tuple(map(operator.index, (x // v.d for x in rows[j])))
-    return ThetaMatrix(matrix=IntMatrix(g.n, g.n, tuple(rows)), graph=g)
+def _theta(g: DualGraph, a: _Analysis) -> IntMatrix:
+    """theta from the analysis of ``g``: the intersection matrix itself when
+    every d_j = 1, else a matrix sharing its rows where d_j = 1."""
+    if a.indivisible:
+        j, i = a.indivisible[0]
+        v = g.vertices[j]
+        raise DivisibilityViolationError(
+            f"d={v.d} of vertex {v.id!r} does not divide "
+            f"({g.vertices[i].id!r},{v.id!r}) = {a.inter[j, i]}")
+    if all(v.d == 1 for v in g.vertices):
+        return a.inter
+    return IntMatrix(g.n, g.n, tuple(row if v.d == 1 else tuple(x // v.d for x in row)
+                                     for v, row in zip(g.vertices, a.inter.entries)))
 
 
 def class_group(g: DualGraph) -> FgAbGroup:
@@ -73,12 +70,15 @@ def class_group(g: DualGraph) -> FgAbGroup:
     (which also implies the map is injective), so the result never has free
     rank.  Raises NotNegativeDefiniteError otherwise.
     """
-    inter = intersection_matrix(g)
-    theta = _theta_from(g, inter)
-    if not is_negative_definite(inter):
+    return _class_group(g, _analyse(g))
+
+
+def _class_group(g: DualGraph, a: _Analysis) -> FgAbGroup:
+    theta = _theta(g, a)
+    if not a.definite:
         raise NotNegativeDefiniteError(
             f"intersection matrix of {g.name!r} is not negative definite")
-    return cokernel(theta.matrix)
+    return cokernel(theta)
 
 
 def class_group_ell(g: DualGraph, ell: int) -> LModule:
@@ -88,10 +88,8 @@ def class_group_ell(g: DualGraph, ell: int) -> LModule:
     Raises EllNotCoprimeError when ell divides a degree gcd or a residue
     degree, since then the unit argument behind the identification fails.
     """
-    for v in g.vertices:
-        if v.d % ell == 0:
-            raise EllNotCoprimeError(f"{ell} divides d={v.d} of vertex {v.id!r}")
-        if v.residue_degree % ell == 0:
-            raise EllNotCoprimeError(
-                f"{ell} divides residue degree {v.residue_degree} of vertex {v.id!r}")
-    return ell_primary(class_group(g), ell).twisted(1)
+    a = _analyse(g, ell)
+    if a.ell_failures:
+        text, v = a.ell_failures[0]
+        raise EllNotCoprimeError(f"{text} of vertex {v.id!r}")
+    return ell_primary(_class_group(g, a), ell).twisted(1)

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .dualgraph import DualGraph, connected_components, is_forest
-from .errors import EmptyInputError, LengthMismatchError, NotAForestError
+from .dualgraph import DualGraph, _is_forest, connected_components, is_forest
+from .errors import EmptyInputError, NotAForestError
 from .exactlat import LModule, Value
 
 
@@ -48,10 +48,11 @@ def curve_profile(g: DualGraph, ell: int = 2) -> CurveProfile:
     component), degree 1 zero, degree 2 free of rank n (one per irreducible
     component).  Raises NotAForestError when the shape cannot certify the
     structure-sheaf vanishing this computation needs."""
-    if not is_forest(g):
+    components = connected_components(g)
+    if not _is_forest(g, components):
         raise NotAForestError(f"configuration {g.name!r} is not a forest")
     return _profile(
-        r=len(connected_components(g)),
+        r=len(components),
         n=g.n,
         ell=ell,
         labels=tuple(v.id for v in g.vertices),
@@ -92,16 +93,6 @@ def mv_profile(g: DualGraph, ell: int = 2) -> CurveProfile:
                     leaves.append(j)
 
     return _profile(r=r, n=n, ell=ell, labels=tuple(v.id for v in g.vertices))
-
-
-def degree_pairing(profile: CurveProfile, bundle_degrees: Sequence[int]) -> tuple[int, ...]:
-    """Coordinates of a line bundle's first Chern class in the canonical
-    degree-2 cohomology basis: the restriction-degree vector itself (the
-    basis transport is the identity)."""
-    if len(bundle_degrees) != profile.n:
-        raise LengthMismatchError(
-            f"expected {profile.n} degrees (one per component), got {len(bundle_degrees)}")
-    return tuple(int(x) for x in bundle_degrees)
 
 
 def deg_surjectivity(residue_degrees: Sequence[int], ell: int) -> bool:

@@ -10,10 +10,10 @@ and continued-fraction chain families, and reads/writes the JSON format.
 from __future__ import annotations
 
 import json
-import operator
 import os
 from math import gcd
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import (
     GraphFormatError,
@@ -32,6 +32,9 @@ class Vertex(Value):
     def __init__(self, id: str, self_intersection: int, d: int = 1, residue_degree: int = 1):
         if not isinstance(id, str) or not id:
             raise GraphFormatError("vertex id must be a nonempty string")
+        for key, val in (("self_intersection", self_intersection), ("d", d), ("residue_degree", residue_degree)):
+            if type(val) is not int:  # as in the JSON reader: True and 2.0 are refused
+                raise GraphFormatError(f"vertex {id!r}: {key} must be an integer, got {val!r}")
         if d < 1:
             raise GraphFormatError(f"vertex {id!r}: d must be >= 1")
         if residue_degree < 1:
@@ -46,6 +49,8 @@ class Edge(Value):
     def __init__(self, a: str, b: str, m: int = 1):
         if a == b:
             raise GraphFormatError(f"edge endpoints must differ: {a!r}")
+        if type(m) is not int:
+            raise GraphFormatError(f"edge {a!r}-{b!r}: m must be an integer, got {m!r}")
         if m < 1:
             raise GraphFormatError(f"edge {a!r}-{b!r}: multiplicity must be >= 1")
         super().__init__(a=a, b=b, m=m)
@@ -90,10 +95,10 @@ def intersection_matrix(g: DualGraph) -> IntMatrix:
     idx = {v.id: i for i, v in enumerate(g.vertices)}
     a = [[0] * n for _ in range(n)]
     for i, v in enumerate(g.vertices):
-        a[i][i] = int(operator.index(v.self_intersection))
+        a[i][i] = v.self_intersection
     for e in g.edges:
         i, j = idx[e.a], idx[e.b]
-        a[i][j] = a[j][i] = int(operator.index(e.m))
+        a[i][j] = a[j][i] = e.m
     return IntMatrix(n, n, tuple(map(tuple, a)))
 
 
@@ -118,16 +123,13 @@ def connected_components(g: DualGraph) -> list[list[int]]:
     return comps
 
 
-def is_connected(g: DualGraph) -> bool:
-    """Empty graphs count as connected (the regular-point case)."""
-    return len(connected_components(g)) <= 1
-
-
 def is_forest(g: DualGraph) -> bool:
     """Acyclic as a multigraph: an edge of multiplicity >= 2 is a cycle."""
-    if any(e.m >= 2 for e in g.edges):
-        return False
-    return len(g.edges) == g.n - len(connected_components(g))
+    return _is_forest(g, connected_components(g))
+
+
+def _is_forest(g: DualGraph, components: list[list[int]]) -> bool:
+    return all(e.m == 1 for e in g.edges) and len(g.edges) == g.n - len(components)
 
 
 class CheckResult(Value):
@@ -150,6 +152,31 @@ class ValidationReport(Value):
         raise KeyError(name)
 
 
+class _Analysis(NamedTuple):
+    inter: IntMatrix
+    indivisible: list[tuple[int, int]]  # (j, i) with d_j not dividing entry (j, i), row by row
+    ell_failures: list[tuple[str, Vertex]]  # ("l divides ...", vertex) in vertex order
+    components: list[list[int]]
+    definite: bool
+
+
+def _analyse(g: DualGraph, ell: int | None = None) -> _Analysis:
+    """What the gates of every route read off ``g``, computed once per call
+    (no l-failures when ``ell`` is None).  The intersection matrix is
+    symmetric, so row j is column j."""
+    inter = intersection_matrix(g)
+    indivisible = [(j, i) for j, v in enumerate(g.vertices) if v.d != 1
+                   for i, x in enumerate(inter.entries[j]) if x % v.d]
+    ell_failures = []
+    if ell is not None:
+        for v in g.vertices:
+            if v.d % ell == 0:
+                ell_failures.append((f"{ell} divides d={v.d}", v))
+            if v.residue_degree % ell == 0:
+                ell_failures.append((f"{ell} divides residue degree {v.residue_degree}", v))
+    return _Analysis(inter, indivisible, ell_failures, connected_components(g), is_negative_definite(inter))
+
+
 def validate(g: DualGraph, ell: int) -> ValidationReport:
     """Run every hypothesis check the homology pipeline relies on.
 
@@ -159,53 +186,44 @@ def validate(g: DualGraph, ell: int) -> ValidationReport:
     matrix, the coefficient prime not dividing any degree gcd or residue
     degree, and the graph being a forest.
     """
+    return _checked(g, ell)[1]
+
+
+def _checked(g: DualGraph, ell: int) -> tuple[_Analysis, ValidationReport]:
+    """The analysis of ``g`` and ``validate``'s report rendered from it."""
     _require_prime(ell)
-    inter = intersection_matrix(g)
+    a = _analyse(g, ell)
     checks = [CheckResult("symmetric", True, "intersection matrix is symmetric by construction")]
 
-    nd = is_negative_definite(inter)
     # definiteness ignores vertex order, so by Sylvester these hold of the minors in graph order too
     checks.append(CheckResult(
-        "negative_definite", nd,
-        "all leading principal minors alternate in sign" if nd
+        "negative_definite", a.definite,
+        "all leading principal minors alternate in sign" if a.definite
         else "some leading principal minor violates the sign condition"))
 
-    ncomp = len(connected_components(g))
-    conn = ncomp <= 1
-    if conn:
-        detail = "single component" if g.n else "empty graph (vacuously connected)"
-    else:
-        detail = f"{ncomp} components"
-    checks.append(CheckResult("connected", conn, detail))
+    ncomp = len(a.components)
+    detail = {0: "empty graph (vacuously connected)", 1: "single component"}.get(ncomp, f"{ncomp} components")
+    checks.append(CheckResult("connected", ncomp <= 1, detail))
 
-    bad_div = []
-    for j, v in enumerate(g.vertices):
-        if v.d == 1:
-            continue
-        for i in range(g.n):
-            if inter[i, j] % v.d != 0:
-                bad_div.append(f"d={v.d} of {v.id!r} does not divide ({g.vertices[i].id!r},{v.id!r})={inter[i, j]}")
+    vs = g.vertices
+    bad_div = [f"d={vs[j].d} of {vs[j].id!r} does not divide ({vs[i].id!r},{vs[j].id!r})={a.inter[j, i]}"
+               for j, i in a.indivisible]
     checks.append(CheckResult(
         "divisibility", not bad_div,
         "each d_j divides its column of the intersection matrix" if not bad_div else "; ".join(bad_div)))
 
-    bad_unit = []
-    for v in g.vertices:
-        if v.d % ell == 0:
-            bad_unit.append(f"{ell} divides d={v.d} of {v.id!r}")
-        if v.residue_degree % ell == 0:
-            bad_unit.append(f"{ell} divides residue degree {v.residue_degree} of {v.id!r}")
+    bad_unit = [f"{text} of {v.id!r}" for text, v in a.ell_failures]
     checks.append(CheckResult(
         "ell_coprime", not bad_unit,
         f"{ell} is coprime to every d_j and residue degree" if not bad_unit else "; ".join(bad_unit)))
 
-    forest = is_forest(g)
+    forest = _is_forest(g, a.components)
     checks.append(CheckResult(
         "forest", forest,
         "no cycles or multiple intersections" if forest
         else "cycle found (an edge of multiplicity >= 2 counts as a cycle)"))
 
-    return ValidationReport(tuple(checks))
+    return a, ValidationReport(tuple(checks))
 
 
 # The most vertices a generated graph may have.

@@ -13,15 +13,15 @@ l-part, with that part as stalk).
 
 from __future__ import annotations
 
-from .classgrp import theta_matrix
+from .classgrp import _theta
 from .dualgraph import (
     DualGraph,
+    _checked,
     _json_field,
     _json_loads,
     _json_object,
     graph_from_obj,
     resolve_graph,
-    validate,
 )
 from .errors import GraphFormatError, ValidationFailedError, WrongLengthError
 from .exactlat import FgAbGroup, LModule, Value, cokernel, ell_primary
@@ -68,13 +68,13 @@ def dualizing_report(spec: SurfaceSpec) -> DualizingReport:
     """
     verdicts = []
     for p in spec.points:
-        report = validate(p.graph, spec.ell)
+        a, report = _checked(p.graph, spec.ell)
         if not report.overall:
             raise ValidationFailedError(report, point_id=p.id)
-        # validate has already checked definiteness, divisibility and that
+        # the report has already checked definiteness, divisibility and that
         # ell divides no d_j or residue degree: the gates of class_group and
         # class_group_ell
-        cl = cokernel(theta_matrix(p.graph).matrix)
+        cl = cokernel(_theta(p.graph, a))
         ell_part = ell_primary(cl, spec.ell).twisted(1)
         verdicts.append(PointVerdict(
             id=p.id,

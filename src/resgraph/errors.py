@@ -35,10 +35,6 @@ class NotAForestError(ResgraphError):
     from its shape."""
 
 
-class LengthMismatchError(ResgraphError):
-    """A vector of the wrong length was supplied."""
-
-
 class EmptyInputError(ResgraphError):
     """A nonempty collection was required."""
 

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 from typing import Literal
 
-from .classgrp import theta_matrix
+from .classgrp import _theta
 from .curvehom import deg_surjectivity
-from .dualgraph import DualGraph, intersection_matrix, is_connected, validate
+from .dualgraph import DualGraph, _analyse, _checked
 from .errors import NotConnectedError, NotNegativeDefiniteError, ValidationFailedError
 from .exactlat import (
     LModule,
@@ -26,7 +26,6 @@ from .exactlat import (
     Value,
     cokernel,
     ell_primary,
-    is_negative_definite,
 )
 
 MAX_DEGREE = 5
@@ -37,14 +36,14 @@ Mode = Literal["integral", "rational"]
 class GeneralCurveInput(Value):
     """User-supplied curve data for configurations whose shape cannot
     certify the vanishing the closed-form route needs: the rank of the
-    degree-1 cohomology of the exceptional curve, and optional rank data
-    for its degree-1 homology (whose free rank becomes the free part of the
-    surface's degree-2 homology)."""
+    degree-1 cohomology of the exceptional curve, and the free rank of its
+    degree-1 homology (which becomes the free part of the surface's
+    degree-2 homology)."""
 
-    def __init__(self, h1_rank: int = 0, h2_torsion_hint: LModule | None = None):
+    def __init__(self, h1_rank: int = 0, h1_homology_free_rank: int = 0):
         if h1_rank < 0:
             raise ValueError("h1_rank must be nonnegative")
-        super().__init__(h1_rank=h1_rank, h2_torsion_hint=h2_torsion_hint)
+        super().__init__(h1_rank=h1_rank, h1_homology_free_rank=h1_homology_free_rank)
 
 
 class HomologyProfile(Value):
@@ -95,11 +94,11 @@ def local_homology_rational(g: DualGraph, ell: int, mode: Mode = "integral") -> 
     """
     if mode not in ("integral", "rational"):
         raise ValueError(f"mode must be 'integral' or 'rational', got {mode!r}")
-    report = validate(g, ell)
+    a, report = _checked(g, ell)
     if not report.overall:
         raise ValidationFailedError(report)
-    # validate has already checked the gates of class_group_ell
-    h2 = ell_primary(cokernel(theta_matrix(g).matrix), ell).twisted(1)
+    # the report has already checked the gates of class_group_ell
+    h2 = ell_primary(cokernel(_theta(g, a)), ell).twisted(1)
     h2_note = "l-primary divisor class group, twist 1"
     if mode == "rational":
         h2 = h2.without_torsion()
@@ -130,16 +129,15 @@ def local_homology_general(g: DualGraph, ell: int, extra: GeneralCurveInput) -> 
     extension class itself is not resolved.  Degrees 1 and 0 vanish for the
     local case (the configuration is connected and the degree map is onto).
     """
-    if g.n == 0 or not is_connected(g):
+    a = _analyse(g)
+    if len(a.components) != 1:
         raise NotConnectedError(
             f"configuration {g.name!r} must be nonempty and connected for the local case")
-    inter = intersection_matrix(g)
-    if not is_negative_definite(inter):
+    if not a.definite:
         raise NotNegativeDefiniteError(
             f"intersection matrix of {g.name!r} is not negative definite")
-    torsion = ell_primary(cokernel(inter), ell)
-    free2 = extra.h2_torsion_hint.total_free_rank() if extra.h2_torsion_hint is not None else 0
-    h2 = LModule(ell, (LSummand(1, free2, torsion.summands[0].torsion_exponents if torsion.summands else ()),))
+    torsion = ell_primary(cokernel(a.inter), ell).twisted(1)
+    h2 = LModule(ell, (*torsion.summands, LSummand(1, extra.h1_homology_free_rank)))
 
     degrees = [v.residue_degree for v in g.vertices]
     deg_onto = deg_surjectivity(degrees, ell)

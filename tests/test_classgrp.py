@@ -14,6 +14,7 @@ from resgraph.dualgraph import (
 from resgraph.errors import (
     DivisibilityViolationError,
     EllNotCoprimeError,
+    GraphFormatError,
     NotNegativeDefiniteError,
 )
 from resgraph.exactlat import FgAbGroup, IntMatrix, LModule, LSummand
@@ -71,8 +72,8 @@ class TestThetaMatrix:
 
     def test_float_d_is_refused(self):
         for d in (1.0, 2.0):
-            with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
-                theta_matrix(single(-4, d=d))
+            with pytest.raises(GraphFormatError, match=rf"^vertex 'v1': d must be an integer, got {d}$"):
+                single(-4, d=d)
 
 
 class TestClassGroup:

@@ -1,15 +1,12 @@
-import random
-
 import pytest
 
 from resgraph.curvehom import (
     curve_profile,
     deg_surjectivity,
-    degree_pairing,
     mv_profile,
 )
-from resgraph.dualgraph import DualGraph, Edge, Vertex, gen_ade, intersection_matrix
-from resgraph.errors import EmptyInputError, LengthMismatchError, NotAForestError
+from resgraph.dualgraph import DualGraph, Edge, Vertex, gen_ade
+from resgraph.errors import EmptyInputError, NotAForestError
 from resgraph.exactlat import LModule
 
 from .oracles import all_forests
@@ -111,39 +108,6 @@ class TestMvProfile:
         p = mv_profile(g)
         assert (p.r, p.n) == (0, 0)
         assert p == curve_profile(g)
-
-
-class TestDegreePairing:
-    def test_trivial_bundle(self):
-        p = curve_profile(gen_ade("A", 3))
-        assert degree_pairing(p, [0, 0, 0]) == (0, 0, 0)
-
-    def test_restriction_degrees_give_intersection_row(self):
-        g = gen_ade("A", 2)
-        p = curve_profile(g)
-        inter = intersection_matrix(g)
-        for i in range(g.n):
-            assert degree_pairing(p, inter.row(i)) == inter.row(i)
-
-    def test_identity_transport(self):
-        p = curve_profile(gen_ade("A", 4))
-        vec = [3, -1, 0, 7]
-        assert degree_pairing(p, vec) == (3, -1, 0, 7)
-
-    def test_length_mismatch(self):
-        p = curve_profile(gen_ade("A", 3))
-        with pytest.raises(LengthMismatchError):
-            degree_pairing(p, [1, 2])
-
-    def test_linearity(self):
-        rng = random.Random(3)
-        p = curve_profile(gen_ade("A", 5))
-        for _ in range(20):
-            u = [rng.randint(-9, 9) for _ in range(5)]
-            v = [rng.randint(-9, 9) for _ in range(5)]
-            s = [a + b for a, b in zip(u, v)]
-            assert degree_pairing(p, s) == tuple(
-                a + b for a, b in zip(degree_pairing(p, u), degree_pairing(p, v)))
 
 
 class TestDegSurjectivity:

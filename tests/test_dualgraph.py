@@ -10,13 +10,13 @@ from resgraph.dualgraph import (
     Edge,
     Vertex,
     catalog_names,
+    connected_components,
     gen_ade,
     gen_hj,
     graph_from_obj,
     graph_to_obj,
     hj_expansion,
     intersection_matrix,
-    is_connected,
     is_forest,
     load_catalog_graph,
     parse_graph,
@@ -92,9 +92,12 @@ class TestIntersectionMatrix:
         assert intersection_matrix(g) == IntMatrix.from_rows([[-4, 2], [2, -4]])
 
     def test_float_weight_is_refused(self):
-        g = DualGraph("f", (Vertex("a", -2), Vertex("b", -2.0)), (Edge("a", "b"),))
-        with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
-            intersection_matrix(g)
+        with pytest.raises(GraphFormatError, match=r"^vertex 'b': self_intersection must be an integer, got -2\.0$"):
+            Vertex("b", -2.0)
+        with pytest.raises(GraphFormatError, match=r"^edge 'a'-'b': m must be an integer, got 1\.0$"):
+            Edge("a", "b", 1.0)
+        with pytest.raises(GraphFormatError, match=r"^vertex 'a': residue_degree must be an integer, got True$"):
+            Vertex("a", -2, residue_degree=True)
 
     def test_permutation_invariance(self):
         rng = random.Random(5)
@@ -365,8 +368,8 @@ class TestCatalog:
 
 
 def test_connectivity_helpers():
-    assert is_connected(DualGraph("pt", (), ()))
-    assert is_connected(gen_ade("A", 4))
-    assert not is_connected(DualGraph("two", (Vertex("a", -2), Vertex("b", -2)), ()))
+    assert connected_components(DualGraph("pt", (), ())) == []
+    assert connected_components(gen_ade("A", 4)) == [[0, 1, 2, 3]]
+    assert connected_components(DualGraph("two", (Vertex("a", -2), Vertex("b", -2)), ())) == [[0], [1]]
     assert is_forest(gen_ade("D", 5))
     assert not is_forest(triangle())

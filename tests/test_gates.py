@@ -1,0 +1,221 @@
+"""Characterization of the hypothesis gates of every entry point.
+
+For graphs that fail one hypothesis, or two at once, each entry point must
+raise the same exception with the same message, in a fixed precedence:
+
+- ``class_group``: divisibility before definiteness.
+- ``class_group_ell``: the per-vertex d and residue-degree checks, then
+  the gates of ``class_group``, then the prime check of ``ell_primary``.
+- ``local_homology_general``: empty or disconnected, then definiteness,
+  then the prime check.
+- ``validate``, ``local_homology_rational`` and ``dualizing_report``: the
+  prime check first (after the mode check of ``local_homology_rational``).
+- ``dualizing_report``: names the first failing point.
+"""
+
+import pytest
+
+from resgraph import classgrp, dualgraph, dualizing, surfhom
+from resgraph.classgrp import class_group, class_group_ell
+from resgraph.dualgraph import DualGraph, Edge, Vertex, gen_ade, validate
+from resgraph.dualizing import SingularPoint, SurfaceSpec, dualizing_report
+from resgraph.errors import (
+    DivisibilityViolationError,
+    EllNotCoprimeError,
+    NotConnectedError,
+    NotNegativeDefiniteError,
+    ValidationFailedError,
+)
+from resgraph.exactlat import FgAbGroup, LModule, LSummand
+from resgraph.surfhom import GeneralCurveInput, local_homology_general, local_homology_rational
+
+GOOD = gen_ade("A", 2)
+EMPTY = DualGraph("pt", (), ())
+# d = 2 divides neither -3 nor 1; otherwise negative definite and a forest
+BAD_DIV = DualGraph("bad-div", (Vertex("a", -3, d=2), Vertex("b", -2)), (Edge("a", "b"),))
+# two -1 curves meeting once: determinant 0
+INDEFINITE = DualGraph("indef", (Vertex("a", -1), Vertex("b", -1)), (Edge("a", "b"),))
+# both of the above at once
+BAD_DIV_INDEFINITE = DualGraph("both", (Vertex("a", -1, d=2), Vertex("b", -1)), (Edge("a", "b"),))
+# d = 3 on one vertex, residue degree 3 on the other (no edge: two components)
+ELL3 = DualGraph("ell3", (Vertex("a", -6, d=3), Vertex("b", -2, residue_degree=3)), ())
+# d = 2 fails to divide -3, and l = 2 divides d
+ELL2_BAD_DIV = DualGraph("ell2-div", (Vertex("a", -3, d=2),), ())
+TRIANGLE = DualGraph(
+    "tri", tuple(Vertex(f"v{i}", -3) for i in (1, 2, 3)),
+    (Edge("v1", "v2"), Edge("v2", "v3"), Edge("v1", "v3")))
+DISCONNECTED = DualGraph("two", (Vertex("a", -2), Vertex("b", -2)), ())
+# disconnected and not definite
+DISCONNECTED_INDEFINITE = DualGraph("two-indef", (Vertex("a", 1), Vertex("b", -2)), ())
+D4_AT_FOUR = DualGraph("d4", (Vertex("a", -4, d=4),), ())
+
+PRIME = "coefficient prime required, got 4"
+
+
+def raises(exc, message, fn, *args):
+    with pytest.raises(exc) as info:
+        fn(*args)
+    assert type(info.value) is exc
+    assert str(info.value) == message
+    return info.value
+
+
+class TestClassGroup:
+    def test_divisibility(self):
+        raises(DivisibilityViolationError, "d=2 of vertex 'a' does not divide ('a','a') = -3", class_group, BAD_DIV)
+
+    def test_definiteness(self):
+        raises(NotNegativeDefiniteError, "intersection matrix of 'indef' is not negative definite",
+               class_group, INDEFINITE)
+
+    def test_divisibility_before_definiteness(self):
+        raises(DivisibilityViolationError, "d=2 of vertex 'a' does not divide ('a','a') = -1",
+               class_group, BAD_DIV_INDEFINITE)
+
+    def test_first_failing_entry_is_named(self):
+        g = DualGraph(
+            "two-bad", (Vertex("v1", -6, d=3), Vertex("v2", -5), Vertex("v3", -6, d=4)),
+            (Edge("v1", "v2"), Edge("v2", "v3", 2)))
+        raises(DivisibilityViolationError, "d=3 of vertex 'v1' does not divide ('v2','v1') = 1", class_group, g)
+
+    def test_no_forest_or_connectedness_gate(self):
+        assert class_group(TRIANGLE) == FgAbGroup(0, (4, 4))
+        assert class_group(DISCONNECTED) == FgAbGroup(0, (2, 2))
+
+
+class TestClassGroupEll:
+    def test_d_then_residue_degree(self):
+        raises(EllNotCoprimeError, "3 divides d=3 of vertex 'a'", class_group_ell, ELL3, 3)
+        g = DualGraph("r", (Vertex("a", -2), Vertex("b", -2, residue_degree=3)), ())
+        raises(EllNotCoprimeError, "3 divides residue degree 3 of vertex 'b'", class_group_ell, g, 3)
+        both = DualGraph("r", (Vertex("a", -6, d=3, residue_degree=3),), ())
+        raises(EllNotCoprimeError, "3 divides d=3 of vertex 'a'", class_group_ell, both, 3)
+
+    def test_ell_before_divisibility(self):
+        raises(EllNotCoprimeError, "2 divides d=2 of vertex 'a'", class_group_ell, ELL2_BAD_DIV, 2)
+        raises(DivisibilityViolationError, "d=2 of vertex 'a' does not divide ('a','a') = -3",
+               class_group_ell, ELL2_BAD_DIV, 3)
+
+    def test_class_group_gates_before_prime_check(self):
+        raises(NotNegativeDefiniteError, "intersection matrix of 'indef' is not negative definite",
+               class_group_ell, INDEFINITE, 4)
+        raises(DivisibilityViolationError, "d=2 of vertex 'a' does not divide ('a','a') = -1",
+               class_group_ell, BAD_DIV_INDEFINITE, 3)
+
+    def test_prime_check_last(self):
+        raises(ValueError, PRIME, class_group_ell, GOOD, 4)
+        raises(ValueError, "coefficient prime required, got 1", class_group_ell, EMPTY, 1)
+
+    def test_composite_ell_dividing_d(self):
+        raises(EllNotCoprimeError, "4 divides d=4 of vertex 'a'", class_group_ell, D4_AT_FOUR, 4)
+        raises(EllNotCoprimeError, "1 divides d=1 of vertex 'v1'", class_group_ell, GOOD, 1)
+
+    def test_passes(self):
+        assert class_group_ell(ELL3, 5) == LModule.zero(5)
+        assert class_group_ell(GOOD, 3) == LModule(3, (LSummand(1, 0, (1,)),))
+
+
+class TestValidate:
+    def test_prime_check_first(self):
+        for g in (GOOD, INDEFINITE, BAD_DIV_INDEFINITE, TRIANGLE, DISCONNECTED):
+            raises(ValueError, PRIME, validate, g, 4)
+
+    def test_failures_are_report_entries(self):
+        report = validate(BAD_DIV_INDEFINITE, 2)
+        assert [(c.name, c.passed, c.detail) for c in report.checks] == [
+            ("symmetric", True, "intersection matrix is symmetric by construction"),
+            ("negative_definite", False, "some leading principal minor violates the sign condition"),
+            ("connected", True, "single component"),
+            ("divisibility", False,
+             "d=2 of 'a' does not divide ('a','a')=-1; d=2 of 'a' does not divide ('b','a')=1"),
+            ("ell_coprime", False, "2 divides d=2 of 'a'"),
+            ("forest", True, "no cycles or multiple intersections"),
+        ]
+
+    def test_ell_failures_in_vertex_order(self):
+        both = DualGraph("r", (Vertex("a", -6, d=3, residue_degree=3), Vertex("b", -3, residue_degree=3)), ())
+        assert validate(both, 3).check("ell_coprime").detail == (
+            "3 divides d=3 of 'a'; 3 divides residue degree 3 of 'a'; 3 divides residue degree 3 of 'b'")
+
+    def test_shape_entries(self):
+        report = validate(DISCONNECTED_INDEFINITE, 2)
+        assert [c.name for c in report.checks if not c.passed] == ["negative_definite", "connected"]
+        assert report.check("connected").detail == "2 components"
+        assert validate(EMPTY, 2).check("connected").detail == "empty graph (vacuously connected)"
+        assert validate(EMPTY, 2).overall
+        tri = validate(TRIANGLE, 2)
+        assert [c.name for c in tri.checks if not c.passed] == ["forest"]
+        assert tri.check("forest").detail == "cycle found (an edge of multiplicity >= 2 counts as a cycle)"
+        double = DualGraph("m2", (Vertex("a", -4), Vertex("b", -4)), (Edge("a", "b", 2),))
+        assert [c.name for c in validate(double, 3).checks if not c.passed] == ["forest"]
+
+
+class TestLocalHomologyRational:
+    def test_mode_then_prime(self):
+        raises(ValueError, "mode must be 'integral' or 'rational', got 'bogus'",
+               local_homology_rational, INDEFINITE, 4, "bogus")
+        raises(ValueError, PRIME, local_homology_rational, INDEFINITE, 4)
+
+    def test_validation_failure_carries_the_report(self):
+        exc = raises(ValidationFailedError, "validation failed: negative_definite, divisibility, ell_coprime",
+                     local_homology_rational, BAD_DIV_INDEFINITE, 2)
+        assert exc.report == validate(BAD_DIV_INDEFINITE, 2)
+        assert exc.point_id is None
+        raises(ValidationFailedError, "validation failed: connected", local_homology_rational, DISCONNECTED, 3)
+        raises(ValidationFailedError, "validation failed: forest", local_homology_rational, TRIANGLE, 3, "rational")
+        raises(ValidationFailedError, "validation failed: connected, ell_coprime", local_homology_rational, ELL3, 3)
+
+
+class TestLocalHomologyGeneral:
+    def test_empty_or_disconnected_first(self):
+        raises(NotConnectedError, "configuration 'pt' must be nonempty and connected for the local case",
+               local_homology_general, EMPTY, 4, GeneralCurveInput())
+        raises(NotConnectedError, "configuration 'two-indef' must be nonempty and connected for the local case",
+               local_homology_general, DISCONNECTED_INDEFINITE, 4, GeneralCurveInput())
+
+    def test_definiteness_then_prime(self):
+        raises(NotNegativeDefiniteError, "intersection matrix of 'indef' is not negative definite",
+               local_homology_general, INDEFINITE, 4, GeneralCurveInput())
+        raises(ValueError, PRIME, local_homology_general, TRIANGLE, 4, GeneralCurveInput())
+
+    def test_no_divisibility_or_ell_gate(self):
+        profile = local_homology_general(ELL2_BAD_DIV, 3, GeneralCurveInput())
+        assert profile.entry(2) == LModule(3, (LSummand(1, 0, (1,)),))
+        unit_free = DualGraph("r3", (Vertex("a", -2, residue_degree=3),), ())
+        profile = local_homology_general(unit_free, 3, GeneralCurveInput())
+        assert profile.entry(2).is_zero
+        assert "assumed onto" in profile.provenance[0]
+
+
+def spec(ell, *graphs):
+    return SurfaceSpec("S", ell, tuple(SingularPoint(f"p{i}", g) for i, g in enumerate(graphs, start=1)))
+
+
+class TestDualizingReport:
+    def test_prime_check_first(self):
+        raises(ValueError, PRIME, dualizing_report, spec(4, INDEFINITE, GOOD))
+        raises(ValueError, PRIME, dualizing_report, spec(4))
+
+    def test_names_the_first_failing_point(self):
+        exc = raises(ValidationFailedError, "validation failed at point 'p2': divisibility",
+                     dualizing_report, spec(3, GOOD, BAD_DIV, INDEFINITE))
+        assert exc.point_id == "p2"
+        assert exc.report == validate(BAD_DIV, 3)
+        raises(ValidationFailedError, "validation failed at point 'p1': connected, ell_coprime",
+               dualizing_report, spec(3, ELL3, TRIANGLE))
+
+
+def test_three_point_report_builds_each_intersection_matrix_once(monkeypatch):
+    real = dualgraph.intersection_matrix
+    built = []
+
+    def counted(g):
+        built.append(g.name)
+        return real(g)
+
+    for module in (dualgraph, classgrp, surfhom, dualizing):
+        if vars(module).get("intersection_matrix") is real:
+            monkeypatch.setattr(module, "intersection_matrix", counted)
+    report = dualizing_report(spec(2, gen_ade("A", 3), gen_ade("D", 5), gen_ade("E", 6)))
+    assert [str(v.class_group) for v in report.points] == ["Z/4", "Z/4", "Z/3"]
+    assert built == ["A3", "D5", "E6"]

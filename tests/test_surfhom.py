@@ -110,8 +110,7 @@ class TestGeneral:
 
     def test_h2_free_part_from_hint(self):
         g = cycle_graph(-3)
-        hint = LModule.free(2, 2, 0)
-        profile = local_homology_general(g, 2, GeneralCurveInput(h1_rank=1, h2_torsion_hint=hint))
+        profile = local_homology_general(g, 2, GeneralCurveInput(h1_rank=1, h1_homology_free_rank=2))
         piece = profile.entry(2).summands[0]
         assert piece.twist == 1
         assert piece.free_rank == 2

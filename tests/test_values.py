@@ -50,7 +50,7 @@ SAMPLES = {
                                       ("p", resgraph.FgAbGroup(0), resgraph.LModule.zero(2), True)],
     resgraph.DualizingReport: [_ctor_args(resgraph.dualizing_report(SPEC)),
                                _ctor_args(resgraph.dualizing_report(resgraph.SurfaceSpec("s", 5, SPEC.points)))],
-    resgraph.GeneralCurveInput: [(), (1, resgraph.LModule.free(2, 1))],
+    resgraph.GeneralCurveInput: [(), (1, 2)],
     resgraph.HomologyProfile: [_ctor_args(PROFILE), _ctor_args(resgraph.local_homology_rational(D4, 3, "rational"))],
 }
 
