@@ -23,6 +23,7 @@ from .exactlat import (
     IntMatrix,
     LModule,
     Value,
+    _require_prime,
     cokernel,
     ell_primary,
 )
@@ -85,9 +86,11 @@ def class_group_ell(g: DualGraph, ell: int) -> LModule:
     """l-adic realization of the class group: its l-primary part, twisted
     by +1 so the value reads as the degree-2 homology of the singularity.
 
-    Raises EllNotCoprimeError when ell divides a degree gcd or a residue
-    degree, since then the unit argument behind the identification fails.
+    Raises ValueError unless ell is prime, then EllNotCoprimeError when ell
+    divides a degree gcd or a residue degree, since then the unit argument
+    behind the identification fails.
     """
+    _require_prime(ell)
     a = _analyse(g, ell)
     if a.ell_failures:
         text, v = a.ell_failures[0]

@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import json
 import os
+from functools import partial
 from math import gcd
 from pathlib import Path
 from typing import NamedTuple
+from weakref import ref
 
 from .errors import (
     GraphFormatError,
@@ -160,13 +162,41 @@ class _Analysis(NamedTuple):
     definite: bool
 
 
+# id(g) -> (a weak ref to g, whose callback drops the record, and the
+# indivisible, components and definite fields of g's analysis), while g lives
+_verdicts: dict[int, tuple] = {}
+
+
+def _forget(key: int, dead: ref) -> None:
+    # a record stored later under a reused id holds another ref: keep it
+    record = _verdicts.get(key)
+    if record is not None and record[0] is dead:
+        _verdicts.pop(key, None)
+
+
 def _analyse(g: DualGraph, ell: int | None = None) -> _Analysis:
-    """What the gates of every route read off ``g``, computed once per call
-    (no l-failures when ``ell`` is None).  The intersection matrix is
-    symmetric, so row j is column j."""
+    """What the gates of every route read off ``g`` (no l-failures when
+    ``ell`` is None).
+
+    The l-free verdicts (the failing divisibility entries, the connected
+    components, definiteness) are computed once per graph object and kept
+    in ``_verdicts`` under ``id(g)`` until ``g`` is collected, so all the
+    routes run on one graph share one definiteness pass.  A record holds
+    O(n + e) data for n vertices and e edges, and no n x n matrix, so a
+    live graph keeps no dense grid alive: each call builds the intersection
+    matrix, and theta from it, again.  Records are found by identity, so a
+    lookup hashes nothing and equal but distinct graphs are analysed
+    apart.  The l-failures depend on ``ell`` and are computed per call.
+    The intersection matrix is symmetric, so row j is column j."""
     inter = intersection_matrix(g)
-    indivisible = [(j, i) for j, v in enumerate(g.vertices) if v.d != 1
-                   for i, x in enumerate(inter.entries[j]) if x % v.d]
+    key = id(g)
+    record = _verdicts.get(key)
+    if record is None or record[0]() is not g:
+        indivisible = [(j, i) for j, v in enumerate(g.vertices) if v.d != 1
+                       for i, x in enumerate(inter.entries[j]) if x % v.d]
+        record = ref(g, partial(_forget, key)), indivisible, connected_components(g), is_negative_definite(inter)
+        _verdicts[key] = record
+    _, indivisible, components, definite = record
     ell_failures = []
     if ell is not None:
         for v in g.vertices:
@@ -174,7 +204,7 @@ def _analyse(g: DualGraph, ell: int | None = None) -> _Analysis:
                 ell_failures.append((f"{ell} divides d={v.d}", v))
             if v.residue_degree % ell == 0:
                 ell_failures.append((f"{ell} divides residue degree {v.residue_degree}", v))
-    return _Analysis(inter, indivisible, ell_failures, connected_components(g), is_negative_definite(inter))
+    return _Analysis(inter, indivisible, ell_failures, components, definite)
 
 
 def validate(g: DualGraph, ell: int) -> ValidationReport:

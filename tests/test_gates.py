@@ -4,8 +4,8 @@ For graphs that fail one hypothesis, or two at once, each entry point must
 raise the same exception with the same message, in a fixed precedence:
 
 - ``class_group``: divisibility before definiteness.
-- ``class_group_ell``: the per-vertex d and residue-degree checks, then
-  the gates of ``class_group``, then the prime check of ``ell_primary``.
+- ``class_group_ell``: the prime check, then the per-vertex d and
+  residue-degree checks, then the gates of ``class_group``.
 - ``local_homology_general``: empty or disconnected, then definiteness,
   then the prime check.
 - ``validate``, ``local_homology_rational`` and ``dualizing_report``: the
@@ -96,19 +96,21 @@ class TestClassGroupEll:
         raises(DivisibilityViolationError, "d=2 of vertex 'a' does not divide ('a','a') = -3",
                class_group_ell, ELL2_BAD_DIV, 3)
 
-    def test_class_group_gates_before_prime_check(self):
-        raises(NotNegativeDefiniteError, "intersection matrix of 'indef' is not negative definite",
-               class_group_ell, INDEFINITE, 4)
+    def test_prime_check_before_class_group_gates(self):
+        raises(ValueError, PRIME, class_group_ell, INDEFINITE, 4)
         raises(DivisibilityViolationError, "d=2 of vertex 'a' does not divide ('a','a') = -1",
                class_group_ell, BAD_DIV_INDEFINITE, 3)
 
-    def test_prime_check_last(self):
+    def test_prime_check_first(self):
         raises(ValueError, PRIME, class_group_ell, GOOD, 4)
         raises(ValueError, "coefficient prime required, got 1", class_group_ell, EMPTY, 1)
+        for ell in (0, -3):
+            for g in (GOOD, EMPTY, INDEFINITE, BAD_DIV_INDEFINITE, ELL3):
+                raises(ValueError, f"coefficient prime required, got {ell}", class_group_ell, g, ell)
 
     def test_composite_ell_dividing_d(self):
-        raises(EllNotCoprimeError, "4 divides d=4 of vertex 'a'", class_group_ell, D4_AT_FOUR, 4)
-        raises(EllNotCoprimeError, "1 divides d=1 of vertex 'v1'", class_group_ell, GOOD, 1)
+        raises(ValueError, PRIME, class_group_ell, D4_AT_FOUR, 4)
+        raises(ValueError, "coefficient prime required, got 1", class_group_ell, GOOD, 1)
 
     def test_passes(self):
         assert class_group_ell(ELL3, 5) == LModule.zero(5)

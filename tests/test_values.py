@@ -22,6 +22,14 @@ A2 = gen_ade("A", 2)
 D4 = gen_ade("D", 4)
 SPEC = resgraph.SurfaceSpec("s", 3, (resgraph.SingularPoint("p", A2), resgraph.SingularPoint("q", D4)))
 PROFILE = resgraph.local_homology_rational(A2, 3)
+# a 4-cycle with d = 2 on two vertices, theta differing from the intersection matrix
+CYCLE = resgraph.DualGraph(
+    "cyc", tuple(resgraph.Vertex(v, w, d) for v, w, d in (("a", -6, 2), ("b", -5, 1), ("c", -6, 2), ("e", -5, 1))),
+    tuple(resgraph.Edge(a, b, 2) for a, b in (("a", "b"), ("b", "c"), ("c", "e"), ("e", "a"))))
+resgraph.class_group(CYCLE)
+resgraph.validate(CYCLE, 3)
+# graphs the module has analysed, so each has a record of shared gate verdicts
+ANALYSED = (A2, D4, CYCLE)
 
 
 def _ctor_args(value):
@@ -37,7 +45,7 @@ SAMPLES = {
     resgraph.LModule: [(2, (resgraph.LSummand(1, 1, (2,)),)), (3,)],
     resgraph.Vertex: [("a", -2), ("b", -3, 2, 1)],
     resgraph.Edge: [("a", "b"), ("a", "b", 2)],
-    resgraph.DualGraph: [_ctor_args(A2), _ctor_args(D4)],
+    resgraph.DualGraph: [_ctor_args(A2), _ctor_args(D4), _ctor_args(CYCLE)],
     resgraph.dualgraph.CheckResult: [("forest", True, "ok"), ("forest", False, "cycle")],
     resgraph.ValidationReport: [_ctor_args(resgraph.validate(A2, 2)), _ctor_args(resgraph.validate(A2, 3))],
     resgraph.ThetaMatrix: [_ctor_args(resgraph.theta_matrix(A2)), _ctor_args(resgraph.theta_matrix(D4))],
@@ -141,3 +149,20 @@ def test_homology_profile_provenance_is_not_compared():
     assert repr(other_notes) != repr(PROFILE)
     assert "provenance=('x', 'x', 'x', 'x', 'x', 'x')" in repr(other_notes)
     assert f"provenance={PROFILE.provenance!r}" in repr(PROFILE)
+
+
+@pytest.mark.parametrize("g", ANALYSED, ids=lambda g: g.name)
+def test_analysed_graph_keeps_value_semantics(g):
+    assert resgraph.dualgraph._verdicts[id(g)][0]() is g
+    fresh = resgraph.DualGraph(*_ctor_args(g))
+    mirror = _mirror(resgraph.DualGraph)(**vars(g))
+    assert id(fresh) not in resgraph.dualgraph._verdicts
+    assert list(vars(g)) == ["name", "vertices", "edges"]
+    assert g == fresh and hash(g) == hash(fresh) == hash(mirror) and repr(g) == repr(fresh) == repr(mirror)
+    assert (g == mirror, g != mirror) == (False, True)
+    for twin in (pickle.loads(pickle.dumps(g)), copy.deepcopy(g), copy.copy(g)):
+        assert type(twin) is resgraph.DualGraph
+        assert twin == g and hash(twin) == hash(g) and repr(twin) == repr(g)
+        assert vars(twin) == vars(g)
+    assert pickle.dumps(g) == pickle.dumps(fresh)
+    assert resgraph.class_group(copy.deepcopy(g)) == resgraph.class_group(g)
