@@ -38,7 +38,6 @@ from .dualizing import (
     DualizingReport,
     SingularPoint,
     SurfaceSpec,
-    duality_rank_check,
     dualizing_report,
     parse_surface,
     surface_from_obj,
@@ -57,7 +56,6 @@ from .errors import (
     ResgraphError,
     UnsupportedIndexError,
     ValidationFailedError,
-    WrongLengthError,
 )
 from .exactlat import (
     FgAbGroup,

@@ -76,10 +76,21 @@ def class_group(g: DualGraph) -> FgAbGroup:
 
 def _class_group(g: DualGraph, a: _Analysis) -> FgAbGroup:
     theta = _theta(g, a)
+    _require_definite(g, a)
+    return cokernel(theta)
+
+
+def _require_definite(g: DualGraph, a: _Analysis) -> None:
     if not a.definite:
         raise NotNegativeDefiniteError(
             f"intersection matrix of {g.name!r} is not negative definite")
-    return cokernel(theta)
+
+
+def _ell_part(group: FgAbGroup, ell: int) -> LModule:
+    """The l-primary part of ``group`` twisted by +1: how every route reads
+    a class group (or the cokernel of the intersection matrix) as degree-2
+    homology."""
+    return ell_primary(group, ell).twisted(1)
 
 
 def class_group_ell(g: DualGraph, ell: int) -> LModule:
@@ -95,4 +106,4 @@ def class_group_ell(g: DualGraph, ell: int) -> LModule:
     if a.ell_failures:
         text, v = a.ell_failures[0]
         raise EllNotCoprimeError(f"{text} of vertex {v.id!r}")
-    return ell_primary(_class_group(g, a), ell).twisted(1)
+    return _ell_part(_class_group(g, a), ell)

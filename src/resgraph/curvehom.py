@@ -15,7 +15,7 @@ from typing import Sequence
 
 from .dualgraph import DualGraph, _is_forest, connected_components, is_forest
 from .errors import EmptyInputError, NotAForestError
-from .exactlat import LModule, Value
+from .exactlat import LModule, Value, _require_prime
 
 
 class CurveProfile(Value):
@@ -46,8 +46,9 @@ def _profile(r: int, n: int, ell: int, labels: tuple[str, ...]) -> CurveProfile:
 def curve_profile(g: DualGraph, ell: int = 2) -> CurveProfile:
     """Closed-form profile: degree 0 free of rank r (one per connected
     component), degree 1 zero, degree 2 free of rank n (one per irreducible
-    component).  Raises NotAForestError when the shape cannot certify the
-    structure-sheaf vanishing this computation needs."""
+    component).  Raises ValueError unless ell is prime, then NotAForestError
+    when the shape cannot certify the structure-sheaf vanishing needed."""
+    _require_prime(ell)
     components = connected_components(g)
     if not _is_forest(g, components):
         raise NotAForestError(f"configuration {g.name!r} is not a forest")
@@ -71,6 +72,7 @@ def mv_profile(g: DualGraph, ell: int = 2) -> CurveProfile:
     whose first map is split injective, so H_1 stays zero and the rank of
     H_0 is 1 + r(C'') - #(C' ∩ C'').  Must agree with curve_profile.
     """
+    _require_prime(ell)
     if not is_forest(g):
         raise NotAForestError(f"configuration {g.name!r} is not a forest")
     adj = g.adjacency()
@@ -99,8 +101,9 @@ def deg_surjectivity(residue_degrees: Sequence[int], ell: int) -> bool:
     """Whether the total-degree map out of degree-0 homology hits a unit.
 
     True iff some listed residue degree is prime to ell, hence invertible
-    in the l-adic coefficient ring.
+    in the l-adic coefficient ring.  Checks first that ell is prime.
     """
+    _require_prime(ell)
     if not residue_degrees:
         raise EmptyInputError("need at least one residue degree")
     for d in residue_degrees:

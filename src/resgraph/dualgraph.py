@@ -58,13 +58,19 @@ class Edge(Value):
         super().__init__(a=a, b=b, m=m)
 
 
+def _unique_ids(ids: list[str], what: str) -> set[str]:
+    """The set of ``ids``; raises GraphFormatError at the first repeat."""
+    seen = set()
+    for x in ids:
+        if x in seen:
+            raise GraphFormatError(f"duplicate {what} id {x!r}")
+        seen.add(x)
+    return seen
+
+
 class DualGraph(Value):
     def __init__(self, name: str, vertices: tuple[Vertex, ...], edges: tuple[Edge, ...]):
-        ids = [v.id for v in vertices]
-        if len(set(ids)) != len(ids):
-            dup = next(x for i, x in enumerate(ids) if x in ids[:i])
-            raise GraphFormatError(f"duplicate vertex id {dup!r}")
-        known = set(ids)
+        known = _unique_ids([v.id for v in vertices], "vertex")
         seen_pairs = set()
         for e in edges:
             if e.a not in known or e.b not in known:
@@ -322,23 +328,17 @@ _VERTEX_KEYS = {"id", "self", "d", "residue_degree"}
 _EDGE_KEYS = {"a", "b", "m"}
 
 
-def _need_int(obj: dict, key: str, where: str, default: int | None = None) -> int:
+def _need(obj: dict, key: str, kind: type, where: str, default=None):
+    """The value under ``key``, of type ``kind`` (``True`` is not an
+    integer), or ``default`` when the key is missing and a default is given."""
     if key not in obj:
         if default is None:
             raise GraphFormatError(f"{where}: missing key {key!r}")
         return default
     val = obj[key]
-    if type(val) is not int:
-        raise GraphFormatError(f"{where}: key {key!r} must be an integer, got {val!r}")
-    return val
-
-
-def _need_str(obj: dict, key: str, where: str) -> str:
-    if key not in obj:
-        raise GraphFormatError(f"{where}: missing key {key!r}")
-    val = obj[key]
-    if not isinstance(val, str):
-        raise GraphFormatError(f"{where}: key {key!r} must be a string, got {val!r}")
+    if not (type(val) is int if kind is int else isinstance(val, kind)):
+        name = "an integer" if kind is int else "a string"
+        raise GraphFormatError(f"{where}: key {key!r} must be {name}, got {val!r}")
     return val
 
 
@@ -371,7 +371,7 @@ def _json_loads(text: str):
 
 def graph_from_obj(obj) -> DualGraph:
     _json_object(obj, {"name", "vertices", "edges"}, "graph", "graph must be a JSON object")
-    name = _need_str(obj, "name", "graph")
+    name = _need(obj, "name", str, "graph")
     vs = obj.get("vertices")
     es = obj.get("edges")
     if not isinstance(vs, list) or not isinstance(es, list):
@@ -381,19 +381,19 @@ def graph_from_obj(obj) -> DualGraph:
         where = f"vertices[{i}]"
         _json_object(vobj, _VERTEX_KEYS, where)
         vertices.append(Vertex(
-            id=_need_str(vobj, "id", where),
-            self_intersection=_need_int(vobj, "self", where),
-            d=_need_int(vobj, "d", where, default=1),
-            residue_degree=_need_int(vobj, "residue_degree", where, default=1),
+            id=_need(vobj, "id", str, where),
+            self_intersection=_need(vobj, "self", int, where),
+            d=_need(vobj, "d", int, where, default=1),
+            residue_degree=_need(vobj, "residue_degree", int, where, default=1),
         ))
     edges = []
     for i, eobj in enumerate(es):
         where = f"edges[{i}]"
         _json_object(eobj, _EDGE_KEYS, where)
         edges.append(Edge(
-            a=_need_str(eobj, "a", where),
-            b=_need_str(eobj, "b", where),
-            m=_need_int(eobj, "m", where, default=1),
+            a=_need(eobj, "a", str, where),
+            b=_need(eobj, "b", str, where),
+            m=_need(eobj, "m", int, where, default=1),
         ))
     return DualGraph(name=name, vertices=tuple(vertices), edges=tuple(edges))
 

@@ -13,18 +13,19 @@ l-part, with that part as stalk).
 
 from __future__ import annotations
 
-from .classgrp import _theta
+from .classgrp import _class_group, _ell_part
 from .dualgraph import (
     DualGraph,
     _checked,
     _json_field,
     _json_loads,
     _json_object,
+    _unique_ids,
     graph_from_obj,
     resolve_graph,
 )
-from .errors import GraphFormatError, ValidationFailedError, WrongLengthError
-from .exactlat import FgAbGroup, LModule, Value, cokernel, ell_primary
+from .errors import GraphFormatError, ValidationFailedError
+from .exactlat import FgAbGroup, LModule, Value
 
 
 class SingularPoint(Value):
@@ -37,10 +38,7 @@ class SurfaceSpec(Value):
     graphs of its finitely many singular points."""
 
     def __init__(self, name: str, ell: int, points: tuple[SingularPoint, ...]):
-        ids = [p.id for p in points]
-        if len(set(ids)) != len(ids):
-            dup = next(x for i, x in enumerate(ids) if x in ids[:i])
-            raise GraphFormatError(f"duplicate point id {dup!r}")
+        _unique_ids([p.id for p in points], "point")
         super().__init__(name=name, ell=ell, points=points)
 
 
@@ -74,8 +72,8 @@ def dualizing_report(spec: SurfaceSpec) -> DualizingReport:
         # the report has already checked definiteness, divisibility and that
         # ell divides no d_j or residue degree: the gates of class_group and
         # class_group_ell
-        cl = cokernel(_theta(p.graph, a))
-        ell_part = ell_primary(cl, spec.ell).twisted(1)
+        cl = _class_group(p.graph, a)
+        ell_part = _ell_part(cl, spec.ell)
         verdicts.append(PointVerdict(
             id=p.id,
             class_group=cl,
@@ -91,16 +89,6 @@ def dualizing_report(spec: SurfaceSpec) -> DualizingReport:
         k_minus4=LModule.free(spec.ell, 1, 2),
         k_minus2=tuple((v.id, v.ell_part) for v in verdicts if not v.ell_part.is_zero),
     )
-
-
-def duality_rank_check(betti_c: list[int] | tuple[int, ...]) -> bool:
-    """Rank bookkeeping for the duality pairing on a surface: the list of
-    five compactly supported Betti numbers, read right to left as ordinary
-    Betti numbers, must pair up, i.e. be palindromic."""
-    if len(betti_c) != 5:
-        raise WrongLengthError(f"expected exactly 5 Betti numbers, got {len(betti_c)}")
-    seq = list(betti_c)
-    return seq == seq[::-1]
 
 
 # ---------------------------------------------------------------------------

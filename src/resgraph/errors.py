@@ -58,10 +58,6 @@ class EllNotCoprimeError(ResgraphError):
     the unit argument identifying the two cokernels fails."""
 
 
-class WrongLengthError(ResgraphError):
-    """A list of exactly five Betti numbers was required."""
-
-
 class ValidationFailedError(ResgraphError):
     """A graph failed validation.  Carries the full report, and the point id
     when raised while assembling a surface-level verdict."""

@@ -136,42 +136,12 @@ class IntMatrix(Value):
         cols = len(entries[0]) if entries else 0
         return cls(rows, cols, entries)
 
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(rows, cols, tuple((0,) * cols for _ in range(rows)))
-
-    @classmethod
-    def diagonal(cls, diag) -> "IntMatrix":
-        diag = tuple(int(operator.index(x)) for x in diag)
-        n = len(diag)
-        return cls(n, n, tuple(tuple(diag[i] if i == j else 0 for j in range(n)) for i in range(n)))
-
     def __getitem__(self, ij: tuple[int, int]) -> int:
         i, j = ij
         return self.entries[i][j]
 
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i]
-
     def to_lists(self) -> list[list[int]]:
         return [list(row) for row in self.entries]
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(self.cols, self.rows, tuple(zip(*self.entries)) if self.entries else tuple(() for _ in range(self.cols)))
-
-    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise ValueError(f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        cols_of_other = list(zip(*other.entries)) if other.entries else []
-        out = tuple(
-            tuple(sum(a * b for a, b in zip(row, col)) for col in cols_of_other) if cols_of_other else (0,) * other.cols
-            for row in self.entries
-        )
-        return IntMatrix(self.rows, other.cols, out)
 
     @property
     def is_square(self) -> bool:
@@ -182,37 +152,15 @@ class IntMatrix(Value):
             return False
         return self.entries == tuple(zip(*self.entries))
 
-    def det(self) -> int:
-        """Exact determinant by fraction-free (Bareiss) elimination."""
-        if not self.is_square:
-            raise NonSquareError(f"determinant of a {self.rows}x{self.cols} matrix")
-        a = self.to_lists()
-        n = len(a)
-        sign, prev = 1, 1
-        for k in range(n):
-            if a[k][k] == 0:
-                i = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-                if i is None:
-                    return 0
-                a[k], a[i] = a[i], a[k]
-                sign = -sign
-            top = a[k]
-            pivot = top[k]
-            for i in range(k + 1, n):
-                row = a[i]
-                c = row[k]
-                for j in range(k + 1, n):
-                    row[j] = (pivot * row[j] - c * top[j]) // prev
-            prev = pivot
-        return sign * prev
-
     def __str__(self) -> str:
         return "[" + "; ".join(" ".join(str(x) for x in row) for row in self.entries) + "]"
 
 
 class SmithForm(Value):
-    """Diagonalization witness: ``d == u @ m @ v`` with u, v unimodular and
-    the diagonal of d nonnegative, each entry dividing the next."""
+    """Diagonalization witness for a matrix m: the matrix product of u, m
+    and v, in that order, equals d, where u and v are unimodular (integer
+    matrices of determinant +1 or -1) and d is zero off its diagonal, with
+    a nonnegative diagonal in which each entry divides the next."""
 
     def __init__(self, u: IntMatrix, d: IntMatrix, v: IntMatrix):
         super().__init__(u=u, d=d, v=v)
@@ -299,7 +247,7 @@ def _diagonalize(a: list[list[int]], nr: int, nc: int) -> None:
 
 def smith_normal_form(m: IntMatrix) -> SmithForm:
     """Diagonalize an integer matrix by unimodular row/column operations,
-    keeping the witnesses: ``d == u @ m @ v``.
+    keeping the witnesses: d is the product u m v (see :class:`SmithForm`).
 
     The reduction runs on the grid ``[[m, I], [I]]``, so the row operations
     build ``u`` to the right of ``m`` and the column operations build ``v``

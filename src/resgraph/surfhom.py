@@ -16,17 +16,11 @@ from __future__ import annotations
 
 from typing import Literal
 
-from .classgrp import _theta
+from .classgrp import _class_group, _ell_part, _require_definite
 from .curvehom import deg_surjectivity
 from .dualgraph import DualGraph, _analyse, _checked
-from .errors import NotConnectedError, NotNegativeDefiniteError, ValidationFailedError
-from .exactlat import (
-    LModule,
-    LSummand,
-    Value,
-    cokernel,
-    ell_primary,
-)
+from .errors import NotConnectedError, ValidationFailedError
+from .exactlat import LModule, LSummand, Value, _require_prime, cokernel
 
 MAX_DEGREE = 5
 
@@ -41,8 +35,9 @@ class GeneralCurveInput(Value):
     degree-2 homology)."""
 
     def __init__(self, h1_rank: int = 0, h1_homology_free_rank: int = 0):
-        if h1_rank < 0:
-            raise ValueError("h1_rank must be nonnegative")
+        for key, val in (("h1_rank", h1_rank), ("h1_homology_free_rank", h1_homology_free_rank)):
+            if type(val) is not int or val < 0:
+                raise ValueError(f"{key} must be a nonnegative integer, got {val!r}")
         super().__init__(h1_rank=h1_rank, h1_homology_free_rank=h1_homology_free_rank)
 
 
@@ -98,7 +93,7 @@ def local_homology_rational(g: DualGraph, ell: int, mode: Mode = "integral") -> 
     if not report.overall:
         raise ValidationFailedError(report)
     # the report has already checked the gates of class_group_ell
-    h2 = ell_primary(cokernel(_theta(g, a)), ell).twisted(1)
+    h2 = _ell_part(_class_group(g, a), ell)
     h2_note = "l-primary divisor class group, twist 1"
     if mode == "rational":
         h2 = h2.without_torsion()
@@ -121,22 +116,22 @@ def local_homology_rational(g: DualGraph, ell: int, mode: Mode = "integral") -> 
 def local_homology_general(g: DualGraph, ell: int, extra: GeneralCurveInput) -> HomologyProfile:
     """Homology profile without the rationality/forest hypotheses.
 
-    Requires a connected, nonempty configuration with negative-definite
-    intersection matrix.  Degree 3 is free of the supplied curve-cohomology
-    rank (twist 2).  Degree 2 is reported as an extension record at twist
-    1: its torsion is the l-primary cokernel of the intersection matrix,
-    its free rank comes from the supplied degree-1 curve homology; the
-    extension class itself is not resolved.  Degrees 1 and 0 vanish for the
-    local case (the configuration is connected and the degree map is onto).
+    Requires a prime ell, then a connected, nonempty configuration, then a
+    negative-definite intersection matrix.  Degree 3 is free of the
+    supplied curve-cohomology rank (twist 2).  Degree 2 is reported as an
+    extension record at twist 1: its torsion is the l-primary cokernel of
+    the intersection matrix, its free rank comes from the supplied degree-1
+    curve homology; the extension class itself is not resolved.  Degrees 1
+    and 0 vanish for the local case (the configuration is connected and the
+    degree map is onto).
     """
+    _require_prime(ell)
     a = _analyse(g)
     if len(a.components) != 1:
         raise NotConnectedError(
             f"configuration {g.name!r} must be nonempty and connected for the local case")
-    if not a.definite:
-        raise NotNegativeDefiniteError(
-            f"intersection matrix of {g.name!r} is not negative definite")
-    torsion = ell_primary(cokernel(a.inter), ell).twisted(1)
+    _require_definite(g, a)
+    torsion = _ell_part(cokernel(a.inter), ell)
     h2 = LModule(ell, (*torsion.summands, LSummand(1, extra.h1_homology_free_rank)))
 
     degrees = [v.residue_degree for v in g.vertices]

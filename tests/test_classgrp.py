@@ -1,5 +1,8 @@
+from pathlib import Path
+
 import pytest
 
+from resgraph import classgrp, dualizing, surfhom
 from resgraph.classgrp import class_group, class_group_ell, theta_matrix
 from resgraph.dualgraph import (
     DualGraph,
@@ -17,7 +20,9 @@ from resgraph.errors import (
     GraphFormatError,
     NotNegativeDefiniteError,
 )
+from resgraph.dualizing import SingularPoint, SurfaceSpec, dualizing_report
 from resgraph.exactlat import FgAbGroup, IntMatrix, LModule, LSummand
+from resgraph.surfhom import GeneralCurveInput, local_homology_general, local_homology_rational
 
 from .oracles import CosetGroup, det_fraction
 
@@ -162,3 +167,47 @@ class TestClassGroupEll:
             lhs = ell_primary(cokernel(theta_matrix(g).matrix), ell)
             rhs = ell_primary(cokernel(intersection_matrix(g)), ell)
             assert lhs == rhs
+
+
+class TestOneOwnerForTheEllPart:
+    """Every route turns theta (or the intersection matrix) into Cl and Cl
+    into its twisted l-part through ``classgrp``: the seam that a local
+    l-adic elimination would replace."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        # ``_ell_part`` is the one caller of ``ell_primary`` in classgrp, and
+        # ``_class_group`` the one caller of ``cokernel``
+        seen = {"ell_part": 0, "cokernel": 0}
+
+        def counted(key, real):
+            def wrapper(*args):
+                seen[key] += 1
+                return real(*args)
+            return wrapper
+
+        monkeypatch.setattr(classgrp, "ell_primary", counted("ell_part", classgrp.ell_primary))
+        monkeypatch.setattr(classgrp, "cokernel", counted("cokernel", classgrp.cokernel))
+        return seen
+
+    def test_each_route_goes_through_classgrp(self, calls):
+        g = gen_ade("A", 3)
+        routes = (
+            (lambda: class_group_ell(g, 2), 1, 1),
+            (lambda: local_homology_rational(g, 2), 1, 1),
+            (lambda: local_homology_rational(g, 2, "rational"), 1, 1),
+            (lambda: dualizing_report(SurfaceSpec("S", 2, (SingularPoint("p", g), SingularPoint("q", g)))), 2, 2),
+            # the general route reads the cokernel of the intersection matrix
+            (lambda: local_homology_general(g, 2, GeneralCurveInput()), 1, 0),
+        )
+        for route, ell_parts, cokernels in routes:
+            calls.update(ell_part=0, cokernel=0)
+            route()
+            assert calls == {"ell_part": ell_parts, "cokernel": cokernels}
+
+    def test_no_other_module_reads_the_ell_part(self):
+        for module in (surfhom, dualizing):
+            assert not {"_theta", "ell_primary"} & set(vars(module))
+        raising = [path.name for path in Path(classgrp.__file__).parent.glob("*.py")
+                   if "raise NotNegativeDefiniteError" in path.read_text(encoding="utf-8")]
+        assert raising == ["classgrp.py"]

@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from math import gcd
 
 import pytest
@@ -27,7 +28,7 @@ from resgraph.dualgraph import (
 from resgraph.errors import GraphFormatError, NotCoprimeError, UnsupportedIndexError
 from resgraph.exactlat import IntMatrix
 
-from .oracles import eval_continued_fraction
+from .oracles import det_fraction, eval_continued_fraction
 from fractions import Fraction
 
 
@@ -47,6 +48,21 @@ class TestGraphInvariants:
     def test_duplicate_vertex_ids_rejected(self):
         with pytest.raises(GraphFormatError):
             DualGraph("bad", (Vertex("v", -2), Vertex("v", -3)), ())
+
+    def test_first_repeated_vertex_id_is_named(self):
+        vs = tuple(Vertex(x, -2) for x in ("a", "b", "b", "a"))
+        with pytest.raises(GraphFormatError, match="^duplicate vertex id 'b'$"):
+            DualGraph("bad", vs, ())
+
+    def test_duplicate_last_of_many_is_found_fast(self):
+        # a quadratic scan took 21 s at 40,001 vertices
+        n = 50_000
+        text = json.dumps({"name": "big", "edges": [],
+                           "vertices": [{"id": f"v{i}", "self": -2} for i in range(n)] + [{"id": f"v{n - 1}", "self": -2}]})
+        start = time.perf_counter()
+        with pytest.raises(GraphFormatError, match=f"^duplicate vertex id 'v{n - 1}'$"):
+            parse_graph(text)
+        assert time.perf_counter() - start < 2
 
     def test_edge_to_missing_vertex_rejected(self):
         with pytest.raises(GraphFormatError):
@@ -81,7 +97,7 @@ class TestIntersectionMatrix:
 
     def test_two_disjoint(self):
         g = DualGraph("two", (Vertex("a", -2), Vertex("b", -3)), ())
-        assert intersection_matrix(g) == IntMatrix.diagonal([-2, -3])
+        assert intersection_matrix(g) == IntMatrix.from_rows([[-2, 0], [0, -3]])
 
     def test_empty(self):
         g = DualGraph("pt", (), ())
@@ -198,11 +214,11 @@ class TestGenAde:
     def test_e8_determinant(self):
         g = gen_ade("E", 8)
         assert g.n == 8
-        assert abs(intersection_matrix(g).det()) == 1
+        assert abs(det_fraction(intersection_matrix(g).to_lists())) == 1
 
     def test_e_series_determinants(self):
-        assert abs(intersection_matrix(gen_ade("E", 6)).det()) == 3
-        assert abs(intersection_matrix(gen_ade("E", 7)).det()) == 2
+        assert abs(det_fraction(intersection_matrix(gen_ade("E", 6)).to_lists())) == 3
+        assert abs(det_fraction(intersection_matrix(gen_ade("E", 7)).to_lists())) == 2
 
     def test_unsupported(self):
         for family, n in (("A", 0), ("D", 3), ("E", 5), ("E", 9), ("F", 4)):
@@ -248,7 +264,7 @@ class TestGenHj:
             for a in range(1, k):
                 if gcd(a, k) != 1:
                     continue
-                assert abs(intersection_matrix(gen_hj(k, a)).det()) == k
+                assert abs(det_fraction(intersection_matrix(gen_hj(k, a)).to_lists())) == k
 
     def test_vertex_limit(self):
         # k/(k-1) expands to k-1 twos

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from resgraph.classgrp import class_group
@@ -13,14 +15,12 @@ from resgraph.dualgraph import (
 from resgraph.dualizing import (
     SingularPoint,
     SurfaceSpec,
-    duality_rank_check,
     dualizing_report,
     surface_from_obj,
 )
 from resgraph.errors import (
     GraphFormatError,
     ValidationFailedError,
-    WrongLengthError,
 )
 from resgraph.exactlat import LModule, LSummand
 
@@ -102,22 +102,14 @@ class TestDualizingReport:
         with pytest.raises(GraphFormatError):
             spec_of(2, ("p", gen_ade("A", 1)), ("p", gen_ade("A", 2)))
 
-
-class TestDualityRankCheck:
-    def test_palindromes(self):
-        assert duality_rank_check([1, 0, 2, 0, 1])
-        assert duality_rank_check([1, 0, 1, 0, 1])
-        assert duality_rank_check([0, 0, 0, 0, 0])
-
-    def test_non_palindrome(self):
-        assert not duality_rank_check([1, 0, 0, 0, 0])
-        assert not duality_rank_check([1, 2, 0, 0, 1])
-
-    def test_wrong_length(self):
-        with pytest.raises(WrongLengthError):
-            duality_rank_check([1, 0, 1])
-        with pytest.raises(WrongLengthError):
-            duality_rank_check([1, 0, 1, 0, 1, 0])
+    def test_duplicate_last_of_many_points_is_found_fast(self):
+        n = 50_000
+        g = gen_ade("A", 1)
+        points = tuple(SingularPoint(f"p{i}", g) for i in range(n)) + (SingularPoint(f"p{n - 1}", g),)
+        start = time.perf_counter()
+        with pytest.raises(GraphFormatError, match=f"^duplicate point id 'p{n - 1}'$"):
+            SurfaceSpec("X", 2, points)
+        assert time.perf_counter() - start < 2
 
 
 class TestSurfaceJson:

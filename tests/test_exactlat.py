@@ -94,11 +94,25 @@ def sparse_rows(rng, n, density, bound):
     return [[rng.randint(-bound, bound) if rng.random() < density else 0 for _ in range(n)] for _ in range(n)]
 
 
+def matmul(a, b):
+    """The product of two IntMatrix values (shapes may be empty)."""
+    assert a.cols == b.rows
+    cols = [[row[j] for row in b.entries] for j in range(b.cols)]
+    return IntMatrix(a.rows, b.cols, tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols)
+                                           for row in a.entries))
+
+
+def identity(n):
+    return IntMatrix(n, n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
+
+
 def assert_witnessed(m):
+    """The Smith form of ``m`` with its witness checked: u m v = d, and u
+    and v have determinant +1 or -1."""
     snf = smith_normal_form(m)
-    assert snf.u @ m @ snf.v == snf.d
-    assert abs(snf.u.det()) == 1
-    assert abs(snf.v.det()) == 1
+    assert matmul(matmul(snf.u, m), snf.v) == snf.d
+    assert abs(det_fraction(snf.u.to_lists())) == 1
+    assert abs(det_fraction(snf.v.to_lists())) == 1
     return snf
 
 
@@ -118,35 +132,15 @@ class TestIntMatrix:
 
     def test_empty_matrix_is_legal(self):
         m = IntMatrix(0, 0, ())
-        assert m.det() == 1
-        assert (m @ m).rows == 0
-
-    def test_matmul_identity(self):
-        m = IntMatrix.from_rows([[1, 2], [3, 4], [5, 6]])
-        assert IntMatrix.identity(3) @ m == m
-        assert m @ IntMatrix.identity(2) == m
-
-    def test_transpose(self):
-        m = IntMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
-        assert m.transpose() == IntMatrix.from_rows([[1, 4], [2, 5], [3, 6]])
-
-    def test_det_against_oracle(self):
-        rng = random.Random(7)
-        for _ in range(50):
-            n = rng.randint(1, 5)
-            rows = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
-            assert IntMatrix.from_rows(rows).det() == det_fraction(rows)
-
-    def test_det_requires_square(self):
-        with pytest.raises(NonSquareError):
-            IntMatrix.from_rows([[1, 2]]).det()
+        assert IntMatrix.from_rows([]) == m
+        assert m.to_lists() == [] and m.is_symmetric()
+        assert assert_witnessed(m).diagonal() == ()
 
 
 class TestSmithNormalForm:
     def test_identity(self):
-        snf = smith_normal_form(IntMatrix.identity(3))
-        assert snf.d == IntMatrix.identity(3)
-        assert snf.u @ IntMatrix.identity(3) @ snf.v == snf.d
+        snf = assert_witnessed(identity(3))
+        assert snf.d == identity(3)
 
     def test_zero_1x1(self):
         snf = smith_normal_form(IntMatrix.from_rows([[0]]))
@@ -157,7 +151,7 @@ class TestSmithNormalForm:
         # order 6, so the invariant factors are (1, 6)
         oracle = CosetGroup([[2, 0], [0, 3]])
         assert oracle.order == 6 and oracle.is_cyclic
-        snf = smith_normal_form(IntMatrix.diagonal([2, 3]))
+        snf = smith_normal_form(IntMatrix.from_rows([[2, 0], [0, 3]]))
         assert snf.diagonal() == (1, 6)
 
     def test_reconstruction_and_chain_random(self):
@@ -165,10 +159,7 @@ class TestSmithNormalForm:
         for _ in range(120):
             r, c = rng.randint(0, 4), rng.randint(0, 4)
             m = IntMatrix.from_rows([[rng.randint(-5, 5) for _ in range(c)] for _ in range(r)])
-            snf = smith_normal_form(m)
-            assert snf.u @ m @ snf.v == snf.d
-            assert abs(snf.u.det()) == 1
-            assert abs(snf.v.det()) == 1
+            snf = assert_witnessed(m)
             diag = snf.diagonal()
             assert all(x >= 0 for x in diag)
             for x, y in zip(diag, diag[1:]):
@@ -197,10 +188,7 @@ class TestSmithNormalForm:
     @settings(max_examples=80, deadline=None)
     @given(matrices())
     def test_reconstruction_property(self, m):
-        snf = smith_normal_form(m)
-        assert snf.u @ m @ snf.v == snf.d
-        assert abs(snf.u.det()) == 1
-        assert abs(snf.v.det()) == 1
+        assert_witnessed(m)
 
     @settings(max_examples=80, deadline=None)
     @given(matrices())
@@ -249,8 +237,7 @@ class TestSmithNormalForm:
         for _ in range(60):
             r, c = rng.randint(1, 6), rng.randint(1, 6)
             m = IntMatrix.from_rows([[rng.randint(-20, 20) for _ in range(c)] for _ in range(r)])
-            snf = smith_normal_form(m)
-            assert snf.u @ m @ snf.v == snf.d
+            assert_witnessed(m)
             if r == c:
                 d = det_fraction(m.to_lists())
                 if d != 0:
@@ -260,7 +247,7 @@ class TestSmithNormalForm:
 
 class TestCokernel:
     def test_zero_2x2(self):
-        assert cokernel(IntMatrix.zeros(2, 2)) == FgAbGroup(2)
+        assert cokernel(IntMatrix.from_rows([[0, 0], [0, 0]])) == FgAbGroup(2)
 
     def test_minus_two(self):
         oracle = CosetGroup([[-2]])
@@ -368,7 +355,7 @@ class TestNegativeDefinite:
         m = intersection_matrix(gen_ade("A", 2000))
         assert is_negative_definite(m)
         # a -2, -1, -2 run is a singular 3 x 3 principal block
-        row = m.row(1000)[:1000] + (-1,) + m.row(1000)[1001:]
+        row = m.entries[1000][:1000] + (-1,) + m.entries[1000][1001:]
         assert not is_negative_definite(IntMatrix(m.rows, m.cols, m.entries[:1000] + (row,) + m.entries[1001:]))
 
     def test_agrees_with_bounded_sign_search(self):

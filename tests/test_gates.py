@@ -6,8 +6,10 @@ raise the same exception with the same message, in a fixed precedence:
 - ``class_group``: divisibility before definiteness.
 - ``class_group_ell``: the prime check, then the per-vertex d and
   residue-degree checks, then the gates of ``class_group``.
-- ``local_homology_general``: empty or disconnected, then definiteness,
-  then the prime check.
+- ``local_homology_general``: the prime check, then empty or
+  disconnected, then definiteness.
+- ``curve_profile``, ``mv_profile`` and ``deg_surjectivity``: the prime
+  check first.
 - ``validate``, ``local_homology_rational`` and ``dualizing_report``: the
   prime check first (after the mode check of ``local_homology_rational``).
 - ``dualizing_report``: names the first failing point.
@@ -17,11 +19,14 @@ import pytest
 
 from resgraph import classgrp, dualgraph, dualizing, surfhom
 from resgraph.classgrp import class_group, class_group_ell
+from resgraph.curvehom import curve_profile, deg_surjectivity, mv_profile
 from resgraph.dualgraph import DualGraph, Edge, Vertex, gen_ade, validate
 from resgraph.dualizing import SingularPoint, SurfaceSpec, dualizing_report
 from resgraph.errors import (
     DivisibilityViolationError,
     EllNotCoprimeError,
+    EmptyInputError,
+    NotAForestError,
     NotConnectedError,
     NotNegativeDefiniteError,
     ValidationFailedError,
@@ -169,15 +174,22 @@ class TestLocalHomologyRational:
 
 
 class TestLocalHomologyGeneral:
-    def test_empty_or_disconnected_first(self):
-        raises(NotConnectedError, "configuration 'pt' must be nonempty and connected for the local case",
-               local_homology_general, EMPTY, 4, GeneralCurveInput())
-        raises(NotConnectedError, "configuration 'two-indef' must be nonempty and connected for the local case",
-               local_homology_general, DISCONNECTED_INDEFINITE, 4, GeneralCurveInput())
+    def test_prime_check_first(self):
+        for g in (EMPTY, DISCONNECTED_INDEFINITE):
+            raises(ValueError, PRIME, local_homology_general, g, 4, GeneralCurveInput())
+        raises(ValueError, "coefficient prime required, got 0", local_homology_general, GOOD, 0, GeneralCurveInput())
 
-    def test_definiteness_then_prime(self):
+    def test_empty_or_disconnected_first(self):
+        # the first of the graph gates, once ell is prime
+        raises(NotConnectedError, "configuration 'pt' must be nonempty and connected for the local case",
+               local_homology_general, EMPTY, 3, GeneralCurveInput())
+        raises(NotConnectedError, "configuration 'two-indef' must be nonempty and connected for the local case",
+               local_homology_general, DISCONNECTED_INDEFINITE, 3, GeneralCurveInput())
+
+    def test_prime_before_definiteness(self):
+        raises(ValueError, PRIME, local_homology_general, INDEFINITE, 4, GeneralCurveInput())
         raises(NotNegativeDefiniteError, "intersection matrix of 'indef' is not negative definite",
-               local_homology_general, INDEFINITE, 4, GeneralCurveInput())
+               local_homology_general, INDEFINITE, 3, GeneralCurveInput())
         raises(ValueError, PRIME, local_homology_general, TRIANGLE, 4, GeneralCurveInput())
 
     def test_no_divisibility_or_ell_gate(self):
@@ -187,6 +199,16 @@ class TestLocalHomologyGeneral:
         profile = local_homology_general(unit_free, 3, GeneralCurveInput())
         assert profile.entry(2).is_zero
         assert "assumed onto" in profile.provenance[0]
+
+
+class TestCurveEntryPoints:
+    def test_prime_check_first(self):
+        raises(ValueError, PRIME, curve_profile, TRIANGLE, 4)
+        raises(ValueError, PRIME, mv_profile, TRIANGLE, 4)
+        raises(NotAForestError, "configuration 'tri' is not a forest", curve_profile, TRIANGLE, 3)
+        raises(ValueError, "coefficient prime required, got 0", deg_surjectivity, [1], 0)
+        raises(ValueError, PRIME, deg_surjectivity, [], 4)
+        raises(EmptyInputError, "need at least one residue degree", deg_surjectivity, [], 2)
 
 
 def spec(ell, *graphs):

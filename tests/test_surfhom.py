@@ -140,6 +140,13 @@ class TestGeneral:
         with pytest.raises(ValueError):
             GeneralCurveInput(h1_rank=-1)
 
+    @pytest.mark.parametrize("key", ["h1_rank", "h1_homology_free_rank"])
+    @pytest.mark.parametrize("bad", [-1, 1.5, 2.0, True, "1", None])
+    def test_ranks_must_be_nonnegative_integers(self, key, bad):
+        with pytest.raises(ValueError) as info:
+            GeneralCurveInput(**{key: bad})
+        assert str(info.value) == f"{key} must be a nonnegative integer, got {bad!r}"
+
 
 class TestProfileType:
     def test_shape_validation(self):

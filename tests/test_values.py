@@ -17,7 +17,7 @@ import resgraph
 from resgraph.dualgraph import gen_ade
 from resgraph.exactlat import Value
 
-I2 = resgraph.IntMatrix.identity(2)
+I2 = resgraph.IntMatrix.from_rows([[1, 0], [0, 1]])
 A2 = gen_ade("A", 2)
 D4 = gen_ade("D", 4)
 SPEC = resgraph.SurfaceSpec("s", 3, (resgraph.SingularPoint("p", A2), resgraph.SingularPoint("q", D4)))
@@ -39,7 +39,7 @@ def _ctor_args(value):
 # Per class: argument tuples of two unequal values.
 SAMPLES = {
     resgraph.IntMatrix: [(2, 2, ((1, 2), (3, 4))), (1, 2, ((0, 5),))],
-    resgraph.SmithForm: [(I2, resgraph.IntMatrix.diagonal((1, 3)), I2), (I2, I2, I2)],
+    resgraph.SmithForm: [(I2, resgraph.IntMatrix.from_rows([[1, 0], [0, 3]]), I2), (I2, I2, I2)],
     resgraph.FgAbGroup: [(0, (2, 4)), (1,)],
     resgraph.LSummand: [(1, 2, (1, 3)), (0, 0)],
     resgraph.LModule: [(2, (resgraph.LSummand(1, 1, (2,)),)), (3,)],
