@@ -12,7 +12,9 @@ profiles can list the degree-2 homology of the singularity directly.
 
 from __future__ import annotations
 
-from .dualgraph import DualGraph, _Analysis, _analyse
+from math import prod
+
+from .dualgraph import DualGraph, _Analysis, _analyse, _ell_failures, intersection_matrix
 from .errors import (
     DivisibilityViolationError,
     EllNotCoprimeError,
@@ -52,15 +54,16 @@ def _theta(g: DualGraph, a: _Analysis) -> IntMatrix:
     """theta from the analysis of ``g``: the intersection matrix itself when
     every d_j = 1, else a matrix sharing its rows where d_j = 1."""
     if a.indivisible:
-        j, i = a.indivisible[0]
+        j, i, x = a.indivisible[0]
         v = g.vertices[j]
         raise DivisibilityViolationError(
             f"d={v.d} of vertex {v.id!r} does not divide "
-            f"({g.vertices[i].id!r},{v.id!r}) = {a.inter[j, i]}")
+            f"({g.vertices[i].id!r},{v.id!r}) = {x}")
+    inter = intersection_matrix(g)
     if all(v.d == 1 for v in g.vertices):
-        return a.inter
+        return inter
     return IntMatrix(g.n, g.n, tuple(row if v.d == 1 else tuple(x // v.d for x in row)
-                                     for v, row in zip(g.vertices, a.inter.entries)))
+                                     for v, row in zip(g.vertices, inter.entries)))
 
 
 def class_group(g: DualGraph) -> FgAbGroup:
@@ -75,13 +78,20 @@ def class_group(g: DualGraph) -> FgAbGroup:
 
 
 def _class_group(g: DualGraph, a: _Analysis) -> FgAbGroup:
-    theta = _theta(g, a)
-    _require_definite(g, a)
-    return cokernel(theta)
+    if not a.indivisible:  # else _theta raises: divisibility is the first gate
+        _require_definite(g, a)
+    return _checked_order(cokernel(_theta(g, a)), a.det // prod(v.d for v in g.vertices), g)
+
+
+def _checked_order(group: FgAbGroup, order: int, g: DualGraph) -> FgAbGroup:
+    """``group``, once its order is seen to be ``order``, as the pivots of ``g`` predict."""
+    if group.order() != order:  # a bug, not a domain error
+        raise RuntimeError(f"cokernel for {g.name!r} has order {group.order()}, but the pivots give {order}")
+    return group
 
 
 def _require_definite(g: DualGraph, a: _Analysis) -> None:
-    if not a.definite:
+    if a.det is None:
         raise NotNegativeDefiniteError(
             f"intersection matrix of {g.name!r} is not negative definite")
 
@@ -102,8 +112,8 @@ def class_group_ell(g: DualGraph, ell: int) -> LModule:
     behind the identification fails.
     """
     _require_prime(ell)
-    a = _analyse(g, ell)
-    if a.ell_failures:
-        text, v = a.ell_failures[0]
+    failures = _ell_failures(g, ell)
+    if failures:
+        text, v = failures[0]
         raise EllNotCoprimeError(f"{text} of vertex {v.id!r}")
-    return _ell_part(_class_group(g, a), ell)
+    return _ell_part(_class_group(g, _analyse(g)), ell)

@@ -22,7 +22,7 @@ from .errors import (
     NotCoprimeError,
     UnsupportedIndexError,
 )
-from .exactlat import IntMatrix, Value, _require_prime, is_negative_definite
+from .exactlat import IntMatrix, Value, _negative_det, _require_prime
 
 
 class Vertex(Value):
@@ -86,48 +86,48 @@ class DualGraph(Value):
         return len(self.vertices)
 
     def adjacency(self) -> list[list[int]]:
-        """Neighbor lists by vertex index (multiplicities ignored)."""
-        idx = {v.id: i for i, v in enumerate(self.vertices)}
-        adj: list[list[int]] = [[] for _ in self.vertices]
-        for e in self.edges:
-            i, j = idx[e.a], idx[e.b]
-            adj[i].append(j)
-            adj[j].append(i)
-        return adj
+        """Neighbor lists by vertex index, in edge order (multiplicities ignored)."""
+        return [[j for j in row if j != i] for i, row in enumerate(_rows(self))]
+
+
+def _rows(g: DualGraph) -> list[dict[int, int]]:
+    """The nonzero entries of each row of the intersection matrix, keyed by column, the
+    diagonal first and then edges in edge order: the one reader of ``g.edges`` in index form."""
+    rows = [{i: v.self_intersection} if v.self_intersection else {} for i, v in enumerate(g.vertices)]
+    idx = {v.id: i for i, v in enumerate(g.vertices)}
+    for e in g.edges:
+        i, j = idx[e.a], idx[e.b]
+        rows[i][j] = rows[j][i] = e.m
+    return rows
 
 
 def intersection_matrix(g: DualGraph) -> IntMatrix:
     """Symmetric matrix of pairwise intersection numbers: self-intersections
     on the diagonal, edge multiplicities off it, 0 for non-adjacent pairs."""
-    n = g.n
-    idx = {v.id: i for i, v in enumerate(g.vertices)}
-    a = [[0] * n for _ in range(n)]
-    for i, v in enumerate(g.vertices):
-        a[i][i] = v.self_intersection
-    for e in g.edges:
-        i, j = idx[e.a], idx[e.b]
-        a[i][j] = a[j][i] = e.m
-    return IntMatrix(n, n, tuple(map(tuple, a)))
+    a = [[0] * g.n for _ in range(g.n)]
+    for row, entries in zip(a, _rows(g)):
+        for j, x in entries.items():
+            row[j] = x
+    return IntMatrix(g.n, g.n, tuple(map(tuple, a)))
 
 
 def connected_components(g: DualGraph) -> list[list[int]]:
-    adj = g.adjacency()
-    seen = [False] * g.n
+    return _components(_rows(g))
+
+
+def _components(rows: list[dict[int, int]]) -> list[list[int]]:
+    seen = [False] * len(rows)
     comps = []
-    for start in range(g.n):
-        if seen[start]:
-            continue
-        comp = [start]
-        seen[start] = True
-        stack = [start]
-        while stack:
-            cur = stack.pop()
-            for nxt in adj[cur]:
-                if not seen[nxt]:
-                    seen[nxt] = True
-                    comp.append(nxt)
-                    stack.append(nxt)
-        comps.append(sorted(comp))
+    for start in range(len(rows)):
+        if not seen[start]:
+            seen[start] = True
+            comp = [start]
+            for cur in comp:  # the walk visits what it appends
+                for nxt in rows[cur]:
+                    if not seen[nxt]:
+                        seen[nxt] = True
+                        comp.append(nxt)
+            comps.append(sorted(comp))
     return comps
 
 
@@ -161,56 +161,44 @@ class ValidationReport(Value):
 
 
 class _Analysis(NamedTuple):
-    inter: IntMatrix
-    indivisible: list[tuple[int, int]]  # (j, i) with d_j not dividing entry (j, i), row by row
-    ell_failures: list[tuple[str, Vertex]]  # ("l divides ...", vertex) in vertex order
+    graph_ref: ref  # a weak ref to the graph, whose callback drops this record from _verdicts
+    indivisible: list[tuple[int, int, int]]  # (j, i, entry (j, i)) with d_j not dividing it, row by row
     components: list[list[int]]
-    definite: bool
+    det: int | None  # |det| of the intersection matrix when it is negative definite, else None
 
 
-# id(g) -> (a weak ref to g, whose callback drops the record, and the
-# indivisible, components and definite fields of g's analysis), while g lives
-_verdicts: dict[int, tuple] = {}
+# id(g) -> the analysis of g, while g lives
+_verdicts: dict[int, _Analysis] = {}
 
 
 def _forget(key: int, dead: ref) -> None:
     # a record stored later under a reused id holds another ref: keep it
     record = _verdicts.get(key)
-    if record is not None and record[0] is dead:
+    if record is not None and record.graph_ref is dead:
         _verdicts.pop(key, None)
 
 
-def _analyse(g: DualGraph, ell: int | None = None) -> _Analysis:
-    """What the gates of every route read off ``g`` (no l-failures when
-    ``ell`` is None).
-
-    The l-free verdicts (the failing divisibility entries, the connected
-    components, definiteness) are computed once per graph object and kept
-    in ``_verdicts`` under ``id(g)`` until ``g`` is collected, so all the
-    routes run on one graph share one definiteness pass.  A record holds
-    O(n + e) data for n vertices and e edges, and no n x n matrix, so a
-    live graph keeps no dense grid alive: each call builds the intersection
-    matrix, and theta from it, again.  Records are found by identity, so a
-    lookup hashes nothing and equal but distinct graphs are analysed
-    apart.  The l-failures depend on ``ell`` and are computed per call.
-    The intersection matrix is symmetric, so row j is column j."""
-    inter = intersection_matrix(g)
+def _analyse(g: DualGraph) -> _Analysis:
+    """The l-free gate verdicts of ``g``, read off :func:`_rows` once per
+    graph object in O(n + e) space (n vertices, e edges) and kept in
+    ``_verdicts`` under ``id(g)`` until ``g`` is collected: the routes run
+    on one graph share one definiteness pass, and equal but distinct graphs
+    are analysed apart.  The matrix is symmetric: row j is column j."""
     key = id(g)
     record = _verdicts.get(key)
-    if record is None or record[0]() is not g:
-        indivisible = [(j, i) for j, v in enumerate(g.vertices) if v.d != 1
-                       for i, x in enumerate(inter.entries[j]) if x % v.d]
-        record = ref(g, partial(_forget, key)), indivisible, connected_components(g), is_negative_definite(inter)
+    if record is None or record.graph_ref() is not g:
+        rows = _rows(g)
+        indivisible = [(j, i, rows[j][i]) for j, v in enumerate(g.vertices) if v.d != 1
+                       for i in sorted(rows[j]) if rows[j][i] % v.d]
+        record = _Analysis(ref(g, partial(_forget, key)), indivisible, _components(rows), _negative_det(rows))
         _verdicts[key] = record
-    _, indivisible, components, definite = record
-    ell_failures = []
-    if ell is not None:
-        for v in g.vertices:
-            if v.d % ell == 0:
-                ell_failures.append((f"{ell} divides d={v.d}", v))
-            if v.residue_degree % ell == 0:
-                ell_failures.append((f"{ell} divides residue degree {v.residue_degree}", v))
-    return _Analysis(inter, indivisible, ell_failures, components, definite)
+    return record
+
+
+def _ell_failures(g: DualGraph, ell: int) -> list[tuple[str, Vertex]]:
+    """("l divides ...", vertex) in vertex order."""
+    return [(f"{ell} divides {what}{x}", v) for v in g.vertices
+            for what, x in (("d=", v.d), ("residue degree ", v.residue_degree)) if x % ell == 0]
 
 
 def validate(g: DualGraph, ell: int) -> ValidationReport:
@@ -228,13 +216,14 @@ def validate(g: DualGraph, ell: int) -> ValidationReport:
 def _checked(g: DualGraph, ell: int) -> tuple[_Analysis, ValidationReport]:
     """The analysis of ``g`` and ``validate``'s report rendered from it."""
     _require_prime(ell)
-    a = _analyse(g, ell)
+    a = _analyse(g)
     checks = [CheckResult("symmetric", True, "intersection matrix is symmetric by construction")]
 
     # definiteness ignores vertex order, so by Sylvester these hold of the minors in graph order too
+    definite = a.det is not None
     checks.append(CheckResult(
-        "negative_definite", a.definite,
-        "all leading principal minors alternate in sign" if a.definite
+        "negative_definite", definite,
+        "all leading principal minors alternate in sign" if definite
         else "some leading principal minor violates the sign condition"))
 
     ncomp = len(a.components)
@@ -242,13 +231,13 @@ def _checked(g: DualGraph, ell: int) -> tuple[_Analysis, ValidationReport]:
     checks.append(CheckResult("connected", ncomp <= 1, detail))
 
     vs = g.vertices
-    bad_div = [f"d={vs[j].d} of {vs[j].id!r} does not divide ({vs[i].id!r},{vs[j].id!r})={a.inter[j, i]}"
-               for j, i in a.indivisible]
+    bad_div = [f"d={vs[j].d} of {vs[j].id!r} does not divide ({vs[i].id!r},{vs[j].id!r})={x}"
+               for j, i, x in a.indivisible]
     checks.append(CheckResult(
         "divisibility", not bad_div,
         "each d_j divides its column of the intersection matrix" if not bad_div else "; ".join(bad_div)))
 
-    bad_unit = [f"{text} of {v.id!r}" for text, v in a.ell_failures]
+    bad_unit = [f"{text} of {v.id!r}" for text, v in _ell_failures(g, ell)]
     checks.append(CheckResult(
         "ell_coprime", not bad_unit,
         f"{ell} is coprime to every d_j and residue degree" if not bad_unit else "; ".join(bad_unit)))
@@ -365,7 +354,7 @@ def _json_field(obj: dict, key: str, kind: type, where: str):
 def _json_loads(text: str):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: arrays or objects nested too deep
         raise GraphFormatError(f"invalid JSON: {exc}") from exc
 
 

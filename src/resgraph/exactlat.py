@@ -18,7 +18,7 @@ from __future__ import annotations
 import operator
 from collections.abc import Iterator
 from heapq import heapify, heappop, heappush
-from itertools import chain, compress
+from itertools import chain
 from math import gcd, prod
 
 from .errors import NonSquareError, NonSymmetricError
@@ -59,6 +59,12 @@ def is_prime(n: int) -> bool:
 def _require_prime(ell: int) -> None:
     if not is_prime(ell):
         raise ValueError(f"coefficient prime required, got {ell}")
+
+
+def _require_int(key: str, val, least: int | None = None) -> None:
+    """Refuse a non-integer ``val`` (``True`` and ``2.0`` too, never truncated) or one below ``least``."""
+    if type(val) is not int or least is not None and val < least:
+        raise ValueError(f"{key} must be an integer{'' if least is None else f' >= {least}'}, got {val!r}")
 
 
 class Value:
@@ -151,9 +157,6 @@ class IntMatrix(Value):
         if not self.is_square:
             return False
         return self.entries == tuple(zip(*self.entries))
-
-    def __str__(self) -> str:
-        return "[" + "; ".join(" ".join(str(x) for x in row) for row in self.entries) + "]"
 
 
 class SmithForm(Value):
@@ -272,12 +275,10 @@ class FgAbGroup(Value):
     """
 
     def __init__(self, free_rank: int, invariant_factors: tuple[int, ...] = ()):
-        if free_rank < 0:
-            raise ValueError("free rank must be nonnegative")
-        factors = tuple(int(f) for f in invariant_factors)
+        _require_int("free_rank", free_rank, 0)
+        factors = tuple(invariant_factors)
         for f in factors:
-            if f < 2:
-                raise ValueError(f"invariant factors must be >= 2, got {f}")
+            _require_int("invariant_factors", f, 2)
         for f, g in zip(factors, factors[1:]):
             if g % f != 0:
                 raise ValueError(f"invariant factors must form a divisibility chain: {f} does not divide {g}")
@@ -336,9 +337,9 @@ def _schur(a: _Ratio, b: _Ratio, c: _Ratio, p: _Ratio) -> _Ratio:
     return num // g, den // g
 
 
-def _symmetric_pivots(m: IntMatrix) -> Iterator[_Ratio]:
-    """Pivots of symmetric Gaussian elimination of the symmetric ``m`` over
-    the rationals, on its nonzero pattern (a dict of neighbours per index),
+def _symmetric_pivots(rows: list[dict[int, int]]) -> Iterator[_Ratio]:
+    """Pivots of symmetric Gaussian elimination over the rationals of the
+    symmetric m with nonzero entries ``rows[i]`` in row i (keyed by column),
     taking an index of least current degree at each step (minimum degree):
     a forest is eliminated leaves first with no fill.
 
@@ -347,12 +348,11 @@ def _symmetric_pivots(m: IntMatrix) -> Iterator[_Ratio]:
     the first zero pivot.  Rationals are integer pairs rather than
     ``Fraction`` values, which cost a module import and run 2-3 times slower.
     """
-    n = m.rows
-    diag = [(m.entries[i][i], 1) for i in range(n)]
-    adj = [{j: (row[j], 1) for j in compress(range(n), row) if j != i} for i, row in enumerate(m.entries)]
+    diag = [(row.get(i, 0), 1) for i, row in enumerate(rows)]
+    adj = [{j: (x, 1) for j, x in row.items() if j != i} for i, row in enumerate(rows)]
     heap = [(len(nbrs), i) for i, nbrs in enumerate(adj)]
     heapify(heap)
-    done = [False] * n
+    done = [False] * len(rows)
     while heap:
         degree, v = heappop(heap)
         if done[v] or degree != len(adj[v]):
@@ -377,6 +377,17 @@ def _symmetric_pivots(m: IntMatrix) -> Iterator[_Ratio]:
             heappush(heap, (len(row), u))
 
 
+def _negative_det(rows: list[dict[int, int]]) -> int | None:
+    """|det m| if m (given as for :func:`_symmetric_pivots`) is negative definite, else None.
+    The first k pivots multiply to a principal minor, so ``det`` stays an integer."""
+    det = 1
+    for num, den in _symmetric_pivots(rows):
+        if num >= 0:
+            return None
+        det = det * num // den
+    return abs(det)
+
+
 def is_negative_definite(m: IntMatrix) -> bool:
     """Sylvester criterion in exact arithmetic, by sparse elimination.
 
@@ -392,7 +403,7 @@ def is_negative_definite(m: IntMatrix) -> bool:
         raise NonSquareError(f"definiteness of a {m.rows}x{m.cols} matrix")
     if not m.is_symmetric():
         raise NonSymmetricError("definiteness requires a symmetric matrix")
-    return all(num < 0 for num, _ in _symmetric_pivots(m))
+    return _negative_det([{j: x for j, x in enumerate(row) if x} for row in m.entries]) is not None
 
 
 class LSummand(Value):
@@ -400,11 +411,11 @@ class LSummand(Value):
     and cyclic torsion factors of order ell^e (exponents e >= 1)."""
 
     def __init__(self, twist: int, free_rank: int, torsion_exponents: tuple[int, ...] = ()):
-        if free_rank < 0:
-            raise ValueError("free rank must be nonnegative")
-        exps = tuple(int(e) for e in torsion_exponents)
-        if any(e < 1 for e in exps):
-            raise ValueError("torsion exponents must be >= 1")
+        _require_int("twist", twist)
+        _require_int("free_rank", free_rank, 0)
+        exps = tuple(torsion_exponents)
+        for e in exps:
+            _require_int("torsion_exponents", e, 1)
         super().__init__(twist=twist, free_rank=free_rank, torsion_exponents=exps)
 
     @property

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 from typing import Literal
 
-from .classgrp import _class_group, _ell_part, _require_definite
+from .classgrp import _checked_order, _class_group, _ell_part, _require_definite
 from .curvehom import deg_surjectivity
-from .dualgraph import DualGraph, _analyse, _checked
+from .dualgraph import DualGraph, _analyse, _checked, intersection_matrix
 from .errors import NotConnectedError, ValidationFailedError
 from .exactlat import LModule, LSummand, Value, _require_prime, cokernel
 
@@ -131,7 +131,7 @@ def local_homology_general(g: DualGraph, ell: int, extra: GeneralCurveInput) -> 
         raise NotConnectedError(
             f"configuration {g.name!r} must be nonempty and connected for the local case")
     _require_definite(g, a)
-    torsion = _ell_part(cokernel(a.inter), ell)
+    torsion = _ell_part(_checked_order(cokernel(intersection_matrix(g)), a.det, g), ell)
     h2 = LModule(ell, (*torsion.summands, LSummand(1, extra.h1_homology_free_rank)))
 
     degrees = [v.residue_degree for v in g.vertices]

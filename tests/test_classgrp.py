@@ -1,8 +1,10 @@
+from math import prod
 from pathlib import Path
 
 import pytest
 
-from resgraph import classgrp, dualizing, surfhom
+from resgraph import classgrp, dualgraph, dualizing, surfhom
+from resgraph.cli import main
 from resgraph.classgrp import class_group, class_group_ell, theta_matrix
 from resgraph.dualgraph import (
     DualGraph,
@@ -211,3 +213,49 @@ class TestOneOwnerForTheEllPart:
         raising = [path.name for path in Path(classgrp.__file__).parent.glob("*.py")
                    if "raise NotNegativeDefiniteError" in path.read_text(encoding="utf-8")]
         assert raising == ["classgrp.py"]
+
+
+class TestOrderSelfCheck:
+    """The definiteness pass keeps |det A| = |prod of its pivots|, and every
+    cokernel must have the order it predicts: |Cl| = |det theta| = |det A|
+    over the product of the d_j, and |coker A| = |det A| on the general
+    route.  Another order is a bug, so it raises RuntimeError, which the CLI
+    does not turn into a domain error."""
+
+    # a 4-cycle with d = 2 on two vertices, definite, theta differing from A
+    CYCLE = DualGraph(
+        "cyc", (Vertex("a", -6, d=2), Vertex("b", -5), Vertex("c", -6, d=2), Vertex("e", -5)),
+        (Edge("a", "b", 2), Edge("b", "c", 2), Edge("c", "e", 2), Edge("e", "a", 2)))
+
+    def test_the_pivot_determinant_predicts_each_order(self):
+        graphs = [load_catalog_graph(name) for name in catalog_names()]
+        graphs += [self.CYCLE, single(-6, d=3), gen_hj(97, 28), gen_ade("D", 40), DualGraph("pt", (), ())]
+        for g in graphs:
+            det = dualgraph._analyse(g).det
+            assert det == abs(det_fraction(intersection_matrix(g).to_lists())), g.name
+            assert class_group(g).order() * prod(v.d for v in g.vertices) == det, g.name
+
+    @pytest.fixture(params=[FgAbGroup(0, (2,)), FgAbGroup(1)], ids=["order-2", "infinite"])
+    def wrong_cokernel(self, request, monkeypatch):
+        for module in (classgrp, surfhom):
+            monkeypatch.setattr(module, "cokernel", lambda m: request.param)
+        return request.param
+
+    def test_a_cokernel_of_another_order_is_a_bug(self, wrong_cokernel):
+        g = gen_ade("A", 3)
+        message = f"cokernel for 'A3' has order {wrong_cokernel.order()}, but the pivots give 4"
+        routes = (
+            class_group,
+            lambda g: class_group_ell(g, 3),
+            lambda g: local_homology_rational(g, 3),
+            lambda g: dualizing_report(SurfaceSpec("S", 3, (SingularPoint("p", g),))),
+            lambda g: local_homology_general(g, 3, GeneralCurveInput()),
+        )
+        for route in routes:
+            with pytest.raises(RuntimeError) as info:
+                route(g)
+            assert str(info.value) == message
+
+    def test_the_cli_lets_the_bug_through(self, wrong_cokernel):
+        with pytest.raises(RuntimeError):
+            main(["classgroup", "catalog:A3"])

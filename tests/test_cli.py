@@ -317,6 +317,15 @@ class TestExitCodes:
         code, _, _ = run_cli(capsys, "classgroup", "catalog:Z99")
         assert code == 3
 
+    @pytest.mark.parametrize("command", ["check", "dualizing", "perversity"])
+    def test_deeply_nested_json_is_domain_error(self, capsys, tmp_path, command):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        code, out, err = run_cli(capsys, command, str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: invalid JSON: ") and "Traceback" not in err
+
     def test_malformed_json_is_domain_error(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{oops", encoding="utf-8")

@@ -7,6 +7,8 @@ import pytest
 
 from resgraph.dualgraph import (
     MAX_GENERATED_VERTICES,
+    _analyse,
+    _rows,
     DualGraph,
     Edge,
     Vertex,
@@ -26,7 +28,7 @@ from resgraph.dualgraph import (
     validate,
 )
 from resgraph.errors import GraphFormatError, NotCoprimeError, UnsupportedIndexError
-from resgraph.exactlat import IntMatrix
+from resgraph.exactlat import IntMatrix, is_negative_definite
 
 from .oracles import det_fraction, eval_continued_fraction
 from fractions import Fraction
@@ -389,3 +391,57 @@ def test_connectivity_helpers():
     assert connected_components(DualGraph("two", (Vertex("a", -2), Vertex("b", -2)), ())) == [[0], [1]]
     assert is_forest(gen_ade("D", 5))
     assert not is_forest(triangle())
+
+
+def seeded_graphs():
+    """Random trees and forests, and the same with extra edges making cycles;
+    multiplicities up to 3, d in 1..3, edges listed in random order and
+    orientation.  Self-intersections lie in -7..1 (0 included), or in half of the
+    graphs just below minus the vertex's weighted degree, which makes
+    the matrix diagonally dominant and so negative definite."""
+    rng = random.Random(71)
+    graphs = [DualGraph("pt", (), ()), triangle(), triangle(0)]
+    for k in range(60):
+        n = rng.randint(1, 30)
+        pairs = {(rng.randrange(i), i): rng.choice((1, 1, 2)) for i in range(1, n) if rng.random() < 0.9}
+        for _ in range(rng.randint(0, 4) if k % 2 and n > 2 else 0):
+            a, b = sorted(rng.sample(range(n), 2))
+            pairs.setdefault((a, b), rng.randint(1, 3))
+        degree = [0] * n
+        for (a, b), m in pairs.items():
+            degree[a] += m
+            degree[b] += m
+        vertices = tuple(Vertex(f"v{i}", -degree[i] - rng.randint(1, 2) if k % 4 < 2 else rng.randint(-7, 1),
+                                d=rng.choice((1, 1, 1, 2, 3)), residue_degree=rng.randint(1, 3)) for i in range(n))
+        edges = [Edge(f"v{a}", f"v{b}", m) if rng.random() < 0.5 else Edge(f"v{b}", f"v{a}", m)
+                 for (a, b), m in pairs.items()]
+        rng.shuffle(edges)
+        graphs.append(DualGraph(f"g{k}", vertices, tuple(edges)))
+    return graphs
+
+
+@pytest.mark.parametrize("g", seeded_graphs(), ids=lambda g: g.name)
+def test_every_view_of_the_edge_list_agrees_with_the_dense_matrix(g):
+    m = intersection_matrix(g)
+    dense = m.entries
+    assert _rows(g) == [{j: x for j, x in enumerate(row) if x} for row in dense]
+    assert [sorted(nbrs) for nbrs in g.adjacency()] == [
+        [j for j, x in enumerate(row) if x and j != i] for i, row in enumerate(dense)]
+    a = _analyse(g)
+    assert a.indivisible == [(j, i, x) for j, v in enumerate(g.vertices) if v.d != 1
+                             for i, x in enumerate(dense[j]) if x % v.d]
+    assert (a.det is not None) == is_negative_definite(m)
+    if a.det is not None:
+        assert a.det == abs(det_fraction(m.to_lists()))
+    # components by closing each vertex's dense neighbourhood
+    label = list(range(g.n))
+    for i, row in enumerate(dense):
+        for j, x in enumerate(row):
+            if x and label[i] != label[j]:
+                old, new = label[j], label[i]
+                label = [new if c == old else c for c in label]
+    groups = {}
+    for i, c in enumerate(label):
+        groups.setdefault(c, []).append(i)
+    assert sorted(connected_components(g)) == sorted(groups.values())
+    assert a.components == connected_components(g)

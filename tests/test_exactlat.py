@@ -345,7 +345,7 @@ class TestNegativeDefinite:
             assert witness is None
         if witness is not None:
             assert not verdict
-        ratios = list(_symmetric_pivots(m))
+        ratios = list(_symmetric_pivots([{j: x for j, x in enumerate(row) if x} for row in rows]))
         assert all(den > 0 and gcd(num, den) == 1 for num, den in ratios)
         pivots = [Fraction(num, den) for num, den in ratios]
         if len(pivots) == m.rows and all(pivots):
@@ -424,6 +424,15 @@ class TestFgAbGroup:
         with pytest.raises(ValueError):
             FgAbGroup(-1)
 
+    @pytest.mark.parametrize("args, field", [
+        ((1.5,), "free_rank"), ((True,), "free_rank"), ((0, (2.5,)), "invariant_factors"),
+        ((0, (2.0,)), "invariant_factors"), ((0, (2, True)), "invariant_factors"),
+    ])
+    def test_fields_must_be_integers(self, args, field):
+        # int() used to truncate: FgAbGroup(0, (2.5,)) equalled FgAbGroup(0, (2,))
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            FgAbGroup(*args)
+
     def test_rendering(self):
         assert str(FgAbGroup(0)) == "0"
         assert str(FgAbGroup(0, (4,))) == "Z/4"
@@ -458,6 +467,18 @@ class TestLModule:
     def test_requires_prime_ell(self):
         with pytest.raises(ValueError):
             LModule(4, ())
+
+    @pytest.mark.parametrize("args, field", [
+        ((0.5, 1), "twist"), ((0, 1.5), "free_rank"), ((0, False), "free_rank"),
+        ((0, 1, (1.9,)), "torsion_exponents"), ((0, 0, (1, 2.0)), "torsion_exponents"),
+        ((0, -1), "free_rank"), ((0, 0, (0,)), "torsion_exponents"),
+    ])
+    def test_summand_fields_must_be_integers_in_range(self, args, field):
+        # LModule(2, (LSummand(0, 1.5, (1.9,)),)) used to render Z_2^1.5 ⊕ Z/2
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            LSummand(*args)
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            LModule(2, (args,))
 
     def test_without_torsion(self):
         a = LModule(2, (LSummand(1, 2, (1, 3)),))

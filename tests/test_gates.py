@@ -15,6 +15,8 @@ raise the same exception with the same message, in a fixed precedence:
 - ``dualizing_report``: names the first failing point.
 """
 
+import tracemalloc
+
 import pytest
 
 from resgraph import classgrp, dualgraph, dualizing, surfhom
@@ -243,3 +245,31 @@ def test_three_point_report_builds_each_intersection_matrix_once(monkeypatch):
     report = dualizing_report(spec(2, gen_ade("A", 3), gen_ade("D", 5), gen_ade("E", 6)))
     assert [str(v.class_group) for v in report.points] == ["Z/4", "Z/4", "Z/3"]
     assert built == ["A3", "D5", "E6"]
+
+    # a gate-only call builds no intersection matrix, nor does a gate that fails before Cl
+    built.clear()
+    for g in (GOOD, EMPTY, BAD_DIV, INDEFINITE, BAD_DIV_INDEFINITE, ELL3, TRIANGLE, DISCONNECTED_INDEFINITE):
+        validate(g, 3)
+    for fn, g in ((class_group, BAD_DIV), (class_group, INDEFINITE), (class_group, BAD_DIV_INDEFINITE),
+                  (lambda g: class_group_ell(g, 3), ELL3), (lambda g: local_homology_rational(g, 3), TRIANGLE),
+                  (lambda g: local_homology_general(g, 3, GeneralCurveInput()), INDEFINITE),
+                  (lambda g: local_homology_general(g, 3, GeneralCurveInput()), DISCONNECTED),
+                  (lambda g: dualizing_report(spec(3, g)), BAD_DIV)):
+        with pytest.raises((DivisibilityViolationError, NotNegativeDefiniteError, EllNotCoprimeError,
+                            ValidationFailedError, NotConnectedError)):
+            fn(g)
+    assert built == []
+
+
+def test_validate_scales_to_the_generator_limit_in_sparse_memory():
+    # a dense n x n grid holds n^2 row slots, 32 MB at n = 2,000: far above the bound
+    for n in (2_000, 10_000):
+        g = gen_ade("D", n)
+        tracemalloc.start()
+        try:
+            report = validate(g, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.overall
+        assert peak < 16 << 20, (n, peak)

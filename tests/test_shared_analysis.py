@@ -25,15 +25,15 @@ from resgraph.surfhom import GeneralCurveInput, local_homology_general, local_ho
 
 @pytest.fixture
 def passes(monkeypatch):
-    """The matrices that get a definiteness pass, in call order."""
-    real = dualgraph.is_negative_definite
+    """The sparse rows that get a definiteness pass, in call order."""
+    real = dualgraph._negative_det
     seen = []
 
-    def counted(m):
-        seen.append(m)
-        return real(m)
+    def counted(rows):
+        seen.append(rows)
+        return real(rows)
 
-    monkeypatch.setattr(dualgraph, "is_negative_definite", counted)
+    monkeypatch.setattr(dualgraph, "_negative_det", counted)
     return seen
 
 
