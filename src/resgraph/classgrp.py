@@ -3,18 +3,19 @@ resolution dual graphs.
 
 The divisor lattice spanned by the exceptional components maps to its dual
 by pairing against each component and rescaling the j-th dual coordinate by
-the degree gcd d_j.  The class group of the singularity is the cokernel of
-that map; it is finite exactly when the intersection matrix is negative
-definite, which the computation insists on.  The l-adic realization keeps
-the l-primary part and tags it with a Tate twist of +1, so downstream
-profiles can list the degree-2 homology of the singularity directly.
+the degree gcd d_j.  The cokernel of that map is finite exactly when the
+intersection matrix is negative definite, which the computation insists on.
+It is the class group of the singularity only when the singularity is
+rational (Lipman 1969), and ``validate`` checks only necessary conditions
+for that: the minimal good resolution of x^2 + y^3 + z^7 (centre -1; arms
+-2, -3, -7) passes them, yet its cokernel 0 is not its class group.
 """
 
 from __future__ import annotations
 
 from math import prod
 
-from .dualgraph import DualGraph, _Analysis, _analyse, _ell_failures, intersection_matrix
+from .dualgraph import DualGraph, _Analysis, _analyse, _dense, _ell_failures, _indivisible, _rows
 from .errors import (
     DivisibilityViolationError,
     EllNotCoprimeError,
@@ -42,33 +43,27 @@ class ThetaMatrix(Value):
 
 
 def theta_matrix(g: DualGraph) -> ThetaMatrix:
-    """Build the rescaled pairing matrix, verifying integrality.
-
-    Raises DivisibilityViolationError if some d_j fails to divide an
-    intersection number in its column.
-    """
-    return ThetaMatrix(matrix=_theta(g, _analyse(g)), graph=g)
+    """Build the rescaled pairing matrix, verifying integrality but not definiteness: raises
+    DivisibilityViolationError if some d_j fails to divide an intersection number in its column."""
+    return ThetaMatrix(matrix=_theta(g, _rows(g)), graph=g)
 
 
-def _theta(g: DualGraph, a: _Analysis) -> IntMatrix:
-    """theta from the analysis of ``g``: the intersection matrix itself when
-    every d_j = 1, else a matrix sharing its rows where d_j = 1."""
-    if a.indivisible:
-        j, i, x = a.indivisible[0]
+def _theta(g: DualGraph, rows: list[dict[int, int]]) -> IntMatrix:
+    """theta filled straight from ``rows``, the rows of the intersection matrix of ``g``."""
+    indivisible = _indivisible(g, rows)
+    if indivisible:
+        j, i, x = indivisible[0]
         v = g.vertices[j]
         raise DivisibilityViolationError(
             f"d={v.d} of vertex {v.id!r} does not divide "
             f"({g.vertices[i].id!r},{v.id!r}) = {x}")
-    inter = intersection_matrix(g)
-    if all(v.d == 1 for v in g.vertices):
-        return inter
-    return IntMatrix(g.n, g.n, tuple(row if v.d == 1 else tuple(x // v.d for x in row)
-                                     for v, row in zip(g.vertices, inter.entries)))
+    return _dense(rows, [v.d for v in g.vertices])
 
 
 def class_group(g: DualGraph) -> FgAbGroup:
-    """Divisor class group of the singularity with exceptional graph ``g``:
-    the dual lattice modulo the image of the rescaled pairing map.
+    """Divisor class group of the singularity with exceptional graph ``g``, if
+    it is rational (see above): the dual lattice modulo the image of the
+    rescaled pairing map.
 
     Finiteness is gated on negative definiteness of the intersection matrix
     (which also implies the map is injective), so the result never has free
@@ -80,7 +75,7 @@ def class_group(g: DualGraph) -> FgAbGroup:
 def _class_group(g: DualGraph, a: _Analysis) -> FgAbGroup:
     if not a.indivisible:  # else _theta raises: divisibility is the first gate
         _require_definite(g, a)
-    return _checked_order(cokernel(_theta(g, a)), a.det // prod(v.d for v in g.vertices), g)
+    return _checked_order(cokernel(_theta(g, _rows(g))), a.det // prod(v.d for v in g.vertices), g)
 
 
 def _checked_order(group: FgAbGroup, order: int, g: DualGraph) -> FgAbGroup:

@@ -11,11 +11,9 @@ from __future__ import annotations
 
 import json
 import os
-from functools import partial
 from math import gcd
 from pathlib import Path
 from typing import NamedTuple
-from weakref import ref
 
 from .errors import (
     GraphFormatError,
@@ -69,6 +67,8 @@ def _unique_ids(ids: list[str], what: str) -> set[str]:
 
 
 class DualGraph(Value):
+    __slots__ = ("_analysis",)  # the record of _analyse: outside vars(g), so outside equality, hashing and repr
+
     def __init__(self, name: str, vertices: tuple[Vertex, ...], edges: tuple[Edge, ...]):
         known = _unique_ids([v.id for v in vertices], "vertex")
         seen_pairs = set()
@@ -80,6 +80,9 @@ class DualGraph(Value):
                 raise GraphFormatError(f"more than one edge record for pair {e.a!r}-{e.b!r}")
             seen_pairs.add(pair)
         super().__init__(name=name, vertices=vertices, edges=edges)
+
+    def __reduce__(self):  # from the fields alone, so pickles and copies leave the record behind
+        return DualGraph, (self.name, self.vertices, self.edges)
 
     @property
     def n(self) -> int:
@@ -104,11 +107,16 @@ def _rows(g: DualGraph) -> list[dict[int, int]]:
 def intersection_matrix(g: DualGraph) -> IntMatrix:
     """Symmetric matrix of pairwise intersection numbers: self-intersections
     on the diagonal, edge multiplicities off it, 0 for non-adjacent pairs."""
-    a = [[0] * g.n for _ in range(g.n)]
-    for row, entries in zip(a, _rows(g)):
+    return _dense(_rows(g), [1] * g.n)
+
+
+def _dense(rows: list[dict[int, int]], divisors: list[int]) -> IntMatrix:
+    """The square matrix with nonzero entries ``rows``, row j divided exactly by ``divisors[j]``."""
+    a = [[0] * len(rows) for _ in rows]
+    for row, entries, d in zip(a, rows, divisors):
         for j, x in entries.items():
-            row[j] = x
-    return IntMatrix(g.n, g.n, tuple(map(tuple, a)))
+            row[j] = x // d
+    return IntMatrix(len(rows), len(rows), tuple(map(tuple, a)))
 
 
 def connected_components(g: DualGraph) -> list[list[int]]:
@@ -161,38 +169,28 @@ class ValidationReport(Value):
 
 
 class _Analysis(NamedTuple):
-    graph_ref: ref  # a weak ref to the graph, whose callback drops this record from _verdicts
-    indivisible: list[tuple[int, int, int]]  # (j, i, entry (j, i)) with d_j not dividing it, row by row
+    indivisible: list[tuple[int, int, int]]  # as returned by _indivisible
     components: list[list[int]]
     det: int | None  # |det| of the intersection matrix when it is negative definite, else None
 
 
-# id(g) -> the analysis of g, while g lives
-_verdicts: dict[int, _Analysis] = {}
-
-
-def _forget(key: int, dead: ref) -> None:
-    # a record stored later under a reused id holds another ref: keep it
-    record = _verdicts.get(key)
-    if record is not None and record.graph_ref is dead:
-        _verdicts.pop(key, None)
-
-
 def _analyse(g: DualGraph) -> _Analysis:
     """The l-free gate verdicts of ``g``, read off :func:`_rows` once per
-    graph object in O(n + e) space (n vertices, e edges) and kept in
-    ``_verdicts`` under ``id(g)`` until ``g`` is collected: the routes run
-    on one graph share one definiteness pass, and equal but distinct graphs
-    are analysed apart.  The matrix is symmetric: row j is column j."""
-    key = id(g)
-    record = _verdicts.get(key)
-    if record is None or record.graph_ref() is not g:
+    graph object in O(n + e) space (n vertices, e edges) and kept in the
+    graph's ``_analysis`` slot: the routes run on one graph share one
+    definiteness pass, and equal but distinct graphs are analysed apart."""
+    record = getattr(g, "_analysis", None)
+    if record is None:
         rows = _rows(g)
-        indivisible = [(j, i, rows[j][i]) for j, v in enumerate(g.vertices) if v.d != 1
-                       for i in sorted(rows[j]) if rows[j][i] % v.d]
-        record = _Analysis(ref(g, partial(_forget, key)), indivisible, _components(rows), _negative_det(rows))
-        _verdicts[key] = record
+        record = _Analysis(_indivisible(g, rows), _components(rows), _negative_det(rows))
+        object.__setattr__(g, "_analysis", record)
     return record
+
+
+def _indivisible(g: DualGraph, rows: list[dict[int, int]]) -> list[tuple[int, int, int]]:
+    """(j, i, entry (j, i)) with d_j not dividing it, row by row (row j is column j)."""
+    return [(j, i, rows[j][i]) for j, v in enumerate(g.vertices) if v.d != 1
+            for i in sorted(rows[j]) if rows[j][i] % v.d]
 
 
 def _ell_failures(g: DualGraph, ell: int) -> list[tuple[str, Vertex]]:

@@ -31,8 +31,10 @@ _PRIME_TEST_BOUND = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test, exact below
-    3,317,044,064,679,887,385,961,981; raises ValueError at or above it."""
+    """Deterministic Miller-Rabin primality test of an ``int`` (``True`` and ``2.0`` are refused),
+    exact below 3,317,044,064,679,887,385,961,981; raises ValueError at or above it."""
+    if type(n) is not int:
+        raise ValueError(f"primality is only decided for integers, got {n!r}")
     if n < 2:
         return False
     if n >= _PRIME_TEST_BOUND:

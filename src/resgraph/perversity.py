@@ -12,7 +12,7 @@ from typing import Iterable, Sequence
 
 from .dualgraph import _json_field, _json_loads, _json_object
 from .errors import EmptyInputError, GraphFormatError
-from .exactlat import Value
+from .exactlat import Value, _require_int
 
 # delta(x) = 2 - dim of the local ring at x; presets for the three kinds of
 # points on a surface.
@@ -25,11 +25,14 @@ class StratumProfile(Value):
     complex under test have cohomology."""
 
     def __init__(self, label: str, delta: int, stalk_degrees: frozenset[int], costalk_degrees: frozenset[int]):
+        _require_int("delta", delta)
         if not 0 <= delta <= 2:
             raise ValueError(f"surface strata have delta in 0..2, got {delta}")
-        super().__init__(
-            label=label, delta=delta, stalk_degrees=frozenset(int(x) for x in stalk_degrees),
-            costalk_degrees=frozenset(int(x) for x in costalk_degrees))
+        stalk, costalk = tuple(stalk_degrees), tuple(costalk_degrees)
+        for key, degrees in (("stalk_degrees", stalk), ("costalk_degrees", costalk)):
+            for x in degrees:
+                _require_int(key, x)
+        super().__init__(label=label, delta=delta, stalk_degrees=frozenset(stalk), costalk_degrees=frozenset(costalk))
 
     @classmethod
     def of(cls, label: str, delta: int, stalk: Iterable[int], costalk: Iterable[int]) -> "StratumProfile":

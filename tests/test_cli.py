@@ -333,6 +333,43 @@ class TestExitCodes:
         assert code == 1
 
 
+class TestDomainErrorsFromBareValueError:
+    """Domain errors that start as a plain ValueError, not a ResgraphError,
+    and reach the user through ``main``'s ``except ValueError``: exit 1 and
+    exactly these bytes on stderr."""
+
+    BOUND = 3317044064679887385961981
+
+    @pytest.mark.parametrize("surface, message", [
+        ({"name": "s", "ell": 3, "points": [{"id": "p", "graph": "g\u0000.json"}]},
+         "error: embedded null byte\n"),
+        ({"name": "s", "ell": 4, "points": [{"id": "p", "graph": "catalog:A1"}]},
+         "error: coefficient prime required, got 4\n"),
+        ({"name": "s", "ell": BOUND, "points": []},
+         f"error: primality is only decided below {BOUND}, got {BOUND}\n"),
+        ({"name": "s", "ell": BOUND + 2, "points": [{"id": "p", "graph": "catalog:A1"}]},
+         f"error: primality is only decided below {BOUND}, got {BOUND + 2}\n"),
+    ], ids=["nul-in-graph-path", "ell-4", "ell-at-bound", "ell-above-bound"])
+    def test_surface(self, capsys, tmp_path, surface, message):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(surface), encoding="utf-8")
+        assert run_cli(capsys, "dualizing", str(path)) == (1, "", message)
+
+    def test_gen_hj_out_of_range(self, capsys):
+        assert run_cli(capsys, "gen", "hj", "5", "7") == (1, "", "error: need k >= 2 and 1 <= a < k, got k=5, a=7\n")
+
+    @pytest.mark.parametrize("command", ["check", "classgroup"])
+    def test_integer_past_the_digit_limit(self, capsys, tmp_path, command):
+        # Python's own wording: 3.10 says "limit (4300)", 3.11 and later "limit (4300 digits)"
+        with pytest.raises(ValueError) as info:
+            int("1" * 5000)
+        assert str(info.value).startswith("Exceeds the limit (4300")
+        path = tmp_path / "g.json"
+        path.write_text('{"name": "g", "vertices": [{"id": "a", "self": -%s}], "edges": []}' % ("1" * 5000),
+                        encoding="utf-8")
+        assert run_cli(capsys, command, str(path)) == (1, "", f"error: {info.value}\n")
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("argv", [
         ("classgroup", "catalog:A3"),

@@ -33,7 +33,7 @@ from resgraph.errors import (
     NotNegativeDefiniteError,
     ValidationFailedError,
 )
-from resgraph.exactlat import FgAbGroup, LModule, LSummand
+from resgraph.exactlat import FgAbGroup, LModule, LSummand, ell_primary, is_prime
 from resgraph.surfhom import GeneralCurveInput, local_homology_general, local_homology_rational
 
 GOOD = gen_ade("A", 2)
@@ -231,22 +231,55 @@ class TestDualizingReport:
                dualizing_report, spec(3, ELL3, TRIANGLE))
 
 
+@pytest.mark.parametrize("ell", [2.0, 3.0, 7.5, True, "3", None], ids=repr)
+def test_every_entry_point_that_takes_ell_refuses_a_non_integer(ell):
+    # 2.0 and True once passed as primes, so Cl came out as Z/4.0(1); 7.5 raised a TypeError
+    message = f"primality is only decided for integers, got {ell!r}"
+    a3 = gen_ade("A", 3)
+    entry_points = (
+        (is_prime, ell),
+        (LModule, ell),
+        (LModule.zero, ell),
+        (LModule.free, ell, 1),
+        (ell_primary, FgAbGroup(0, (4,)), ell),
+        (validate, a3, ell),
+        (class_group_ell, a3, ell),
+        (class_group_ell, INDEFINITE, ell),
+        (local_homology_rational, a3, ell),
+        (local_homology_rational, a3, ell, "rational"),
+        (local_homology_general, a3, ell, GeneralCurveInput()),
+        (curve_profile, a3, ell),
+        (mv_profile, a3, ell),
+        (deg_surjectivity, [1], ell),
+        (dualizing_report, spec(ell, a3)),
+        (dualizing_report, spec(ell)),
+    )
+    for fn, *args in entry_points:
+        raises(ValueError, message, fn, *args)
+
+
 def test_three_point_report_builds_each_intersection_matrix_once(monkeypatch):
-    real = dualgraph.intersection_matrix
+    # every dense matrix (the intersection matrix or theta) is built by dualgraph._dense
+    real = dualgraph._dense
     built = []
 
-    def counted(g):
-        built.append(g.name)
-        return real(g)
+    def counted(rows, divisors):
+        built.append(len(rows))
+        return real(rows, divisors)
 
     for module in (dualgraph, classgrp, surfhom, dualizing):
-        if vars(module).get("intersection_matrix") is real:
-            monkeypatch.setattr(module, "intersection_matrix", counted)
+        if vars(module).get("_dense") is real:
+            monkeypatch.setattr(module, "_dense", counted)
     report = dualizing_report(spec(2, gen_ade("A", 3), gen_ade("D", 5), gen_ade("E", 6)))
     assert [str(v.class_group) for v in report.points] == ["Z/4", "Z/4", "Z/3"]
-    assert built == ["A3", "D5", "E6"]
+    assert built == [3, 5, 6]
 
-    # a gate-only call builds no intersection matrix, nor does a gate that fails before Cl
+    # theta is filled straight from the sparse rows, with no intersection matrix in between
+    built.clear()
+    assert str(class_group(DualGraph("d2", (Vertex("a", -4, d=2), Vertex("b", -2)), (Edge("a", "b", 2),)))) == "Z/2"
+    assert built == [2]
+
+    # a gate-only call builds no dense matrix, nor does a gate that fails before Cl
     built.clear()
     for g in (GOOD, EMPTY, BAD_DIV, INDEFINITE, BAD_DIV_INDEFINITE, ELL3, TRIANGLE, DISCONNECTED_INDEFINITE):
         validate(g, 3)

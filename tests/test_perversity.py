@@ -100,6 +100,27 @@ class TestStratumProfile:
         with pytest.raises(ValueError):
             StratumProfile.of("bad", -1, [], [])
 
+    @pytest.mark.parametrize("delta, stalk, costalk, message", [
+        (1.5, [1], [0], "delta must be an integer, got 1.5"),
+        (True, [], [], "delta must be an integer, got True"),
+        (2.0, [], [], "delta must be an integer, got 2.0"),
+        (1, [1.7], [0], "stalk_degrees must be an integer, got 1.7"),
+        (1, [0, 1.0], [0], "stalk_degrees must be an integer, got 1.0"),
+        (1, [], [-0.5], "costalk_degrees must be an integer, got -0.5"),
+        (1, [], [False], "costalk_degrees must be an integer, got False"),
+    ])
+    def test_non_integers_are_refused_not_truncated(self, delta, stalk, costalk, message):
+        # delta 1.5 was kept and the degrees 1.7 and -0.5 were stored as 1 and 0
+        with pytest.raises(ValueError) as info:
+            StratumProfile.of("x", delta, stalk, costalk)
+        assert str(info.value) == message
+        with pytest.raises(ValueError):
+            StratumProfile("x", delta, frozenset(stalk), frozenset(costalk))
+
+    def test_degrees_may_be_any_iterable(self):
+        s = StratumProfile("x", 1, iter([-2, -1, -2]), (x for x in [0]))
+        assert (s.stalk_degrees, s.costalk_degrees) == (frozenset({-2, -1}), frozenset({0}))
+
     def test_presets(self):
         assert DELTA_PRESETS == {"generic": 2, "curve": 1, "point": 0}
 

@@ -1,13 +1,14 @@
 """The l-free gate verdicts of a graph are computed once per graph object.
 
 ``dualgraph._analyse`` keeps the failing divisibility entries, the connected
-components and the definiteness verdict of each graph object it has seen
-under ``id(g)``, until the object is collected.  Every route reads them from
-there, so one definiteness pass serves all the routes run on one graph,
-while equal but distinct graphs are analysed apart.
+components and the definiteness verdict of a graph in the graph's own
+``_analysis`` slot, outside its fields.  Every route reads them from there,
+so one definiteness pass serves all the routes run on one graph, while equal
+but distinct graphs are analysed apart.
 """
 
-import gc
+import copy
+import pickle
 import sys
 import threading
 import weakref
@@ -93,26 +94,32 @@ def test_equal_distinct_graphs_are_analysed_apart(passes):
 
 
 def test_the_record_goes_with_the_graph():
-    gc.collect()
-    before = len(dualgraph._verdicts)
     g = cycle_graph()
-    key = id(g)
     class_group(g)
-    assert dualgraph._verdicts[key][0]() is g
-    assert len(dualgraph._verdicts) == before + 1
+    dead = weakref.ref(g)
     del g
-    gc.collect()
-    assert key not in dualgraph._verdicts
-    assert len(dualgraph._verdicts) == before
+    assert dead() is None  # no reference cycle and no store in the package: freed at once
 
 
-def test_a_dead_ref_drops_only_its_own_record():
-    g = gen_ade("A", 4)
-    validate(g, 2)
-    record = dualgraph._verdicts[id(g)]
-    other = gen_ade("A", 4)
-    dualgraph._forget(id(g), weakref.ref(other))
-    assert dualgraph._verdicts[id(g)] is record
+def test_the_record_stays_out_of_fields_pickles_and_copies(passes):
+    g = cycle_graph()
+    fresh = cycle_graph()
+    validate(g, 3)
+    record = dualgraph._analyse(g)
+    assert g._analysis is record and record not in vars(g).values()
+    assert list(vars(g)) == ["name", "vertices", "edges"]
+    assert pickle.dumps(g) == pickle.dumps(fresh)
+    for twin in (pickle.loads(pickle.dumps(g)), copy.copy(g), copy.deepcopy(g)):
+        assert twin == g and getattr(twin, "_analysis", None) is None
+    assert len(passes) == 1
+
+
+def test_a_lone_theta_matrix_runs_no_definiteness_pass(passes):
+    g = cycle_graph()
+    theta_matrix(g)
+    assert passes == [] and getattr(g, "_analysis", None) is None
+    class_group(g)
+    assert len(passes) == 1
 
 
 def test_a_reused_id_never_returns_a_stale_verdict():
@@ -152,4 +159,4 @@ def test_threads_sharing_one_graph_get_the_serial_results():
         sys.setswitchinterval(old)
     for out in results:
         assert out == {(r, step): serial[r] for r in routes for step in range(2)}
-    assert dualgraph._verdicts[id(shared)][0]() is shared
+    assert shared._analysis is not None

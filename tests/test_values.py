@@ -153,10 +153,10 @@ def test_homology_profile_provenance_is_not_compared():
 
 @pytest.mark.parametrize("g", ANALYSED, ids=lambda g: g.name)
 def test_analysed_graph_keeps_value_semantics(g):
-    assert resgraph.dualgraph._verdicts[id(g)][0]() is g
+    assert g._analysis is not None
     fresh = resgraph.DualGraph(*_ctor_args(g))
     mirror = _mirror(resgraph.DualGraph)(**vars(g))
-    assert id(fresh) not in resgraph.dualgraph._verdicts
+    assert getattr(fresh, "_analysis", None) is None
     assert list(vars(g)) == ["name", "vertices", "edges"]
     assert g == fresh and hash(g) == hash(fresh) == hash(mirror) and repr(g) == repr(fresh) == repr(mirror)
     assert (g == mirror, g != mirror) == (False, True)
