@@ -9,13 +9,16 @@ It is the class group of the singularity only when the singularity is
 rational (Lipman 1969), and ``validate`` checks only necessary conditions
 for that: the minimal good resolution of x^2 + y^3 + z^7 (centre -1; arms
 -2, -3, -7) passes them, yet its cokernel 0 is not its class group.
+
+Every cokernel a route reads, of theta or of the intersection matrix A,
+comes gated and order-checked from ``_cokernel``, every l-part from ``_ell_part``.
 """
 
 from __future__ import annotations
 
 from math import prod
 
-from .dualgraph import DualGraph, _Analysis, _analyse, _dense, _ell_failures, _indivisible, _rows
+from .dualgraph import DualGraph, _analyse, _dense, _ell_failures, _indivisible, _rows
 from .errors import (
     DivisibilityViolationError,
     EllNotCoprimeError,
@@ -45,19 +48,18 @@ class ThetaMatrix(Value):
 def theta_matrix(g: DualGraph) -> ThetaMatrix:
     """Build the rescaled pairing matrix, verifying integrality but not definiteness: raises
     DivisibilityViolationError if some d_j fails to divide an intersection number in its column."""
-    return ThetaMatrix(matrix=_theta(g, _rows(g)), graph=g)
+    rows = _rows(g)
+    _require_divisible(g, _indivisible(g, rows))
+    return ThetaMatrix(matrix=_dense(rows, [v.d for v in g.vertices]), graph=g)
 
 
-def _theta(g: DualGraph, rows: list[dict[int, int]]) -> IntMatrix:
-    """theta filled straight from ``rows``, the rows of the intersection matrix of ``g``."""
-    indivisible = _indivisible(g, rows)
+def _require_divisible(g: DualGraph, indivisible: list[tuple[int, int, int]]) -> None:
     if indivisible:
         j, i, x = indivisible[0]
         v = g.vertices[j]
         raise DivisibilityViolationError(
             f"d={v.d} of vertex {v.id!r} does not divide "
             f"({g.vertices[i].id!r},{v.id!r}) = {x}")
-    return _dense(rows, [v.d for v in g.vertices])
 
 
 def class_group(g: DualGraph) -> FgAbGroup:
@@ -67,28 +69,25 @@ def class_group(g: DualGraph) -> FgAbGroup:
 
     Finiteness is gated on negative definiteness of the intersection matrix
     (which also implies the map is injective), so the result never has free
-    rank.  Raises NotNegativeDefiniteError otherwise.
+    rank.  Raises DivisibilityViolationError, then NotNegativeDefiniteError.
     """
-    return _class_group(g, _analyse(g))
+    _require_divisible(g, _analyse(g).indivisible)
+    return _cokernel(g, [v.d for v in g.vertices])
 
 
-def _class_group(g: DualGraph, a: _Analysis) -> FgAbGroup:
-    if not a.indivisible:  # else _theta raises: divisibility is the first gate
-        _require_definite(g, a)
-    return _checked_order(cokernel(_theta(g, _rows(g))), a.det // prod(v.d for v in g.vertices), g)
-
-
-def _checked_order(group: FgAbGroup, order: int, g: DualGraph) -> FgAbGroup:
-    """``group``, once its order is seen to be ``order``, as the pivots of ``g`` predict."""
-    if group.order() != order:  # a bug, not a domain error
-        raise RuntimeError(f"cokernel for {g.name!r} has order {group.order()}, but the pivots give {order}")
-    return group
-
-
-def _require_definite(g: DualGraph, a: _Analysis) -> None:
-    if a.det is None:
+def _cokernel(g: DualGraph, divisors: list[int]) -> FgAbGroup:
+    """Cokernel of A, the intersection matrix of ``g``, with row j divided by ``divisors[j]``.
+    Raises NotNegativeDefiniteError unless A is negative definite, and RuntimeError (a bug, not
+    a domain error) unless the order is |det A| / prod(divisors), as the pivots of A predict."""
+    det = _analyse(g).det
+    if det is None:
         raise NotNegativeDefiniteError(
             f"intersection matrix of {g.name!r} is not negative definite")
+    group = cokernel(_dense(_rows(g), divisors))
+    order = det // prod(divisors)
+    if group.order() != order:
+        raise RuntimeError(f"cokernel for {g.name!r} has order {group.order()}, but the pivots give {order}")
+    return group
 
 
 def _ell_part(group: FgAbGroup, ell: int) -> LModule:
@@ -111,4 +110,4 @@ def class_group_ell(g: DualGraph, ell: int) -> LModule:
     if failures:
         text, v = failures[0]
         raise EllNotCoprimeError(f"{text} of vertex {v.id!r}")
-    return _ell_part(_class_group(g, _analyse(g)), ell)
+    return _ell_part(class_group(g), ell)

@@ -15,7 +15,7 @@ from typing import Sequence
 
 from .dualgraph import DualGraph, _is_forest, connected_components, is_forest
 from .errors import EmptyInputError, NotAForestError
-from .exactlat import LModule, Value, _require_prime
+from .exactlat import LModule, Value, _require_int, _require_prime
 
 
 class CurveProfile(Value):
@@ -107,6 +107,5 @@ def deg_surjectivity(residue_degrees: Sequence[int], ell: int) -> bool:
     if not residue_degrees:
         raise EmptyInputError("need at least one residue degree")
     for d in residue_degrees:
-        if d < 1:
-            raise ValueError(f"residue degrees must be >= 1, got {d}")
+        _require_int("residue degree", d, 1)
     return any(d % ell != 0 for d in residue_degrees)

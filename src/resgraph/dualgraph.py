@@ -20,7 +20,7 @@ from .errors import (
     NotCoprimeError,
     UnsupportedIndexError,
 )
-from .exactlat import IntMatrix, Value, _negative_det, _require_prime
+from .exactlat import IntMatrix, Value, _negative_det, _require_int, _require_prime
 
 
 class Vertex(Value):
@@ -70,6 +70,8 @@ class DualGraph(Value):
     __slots__ = ("_analysis",)  # the record of _analyse: outside vars(g), so outside equality, hashing and repr
 
     def __init__(self, name: str, vertices: tuple[Vertex, ...], edges: tuple[Edge, ...]):
+        if not isinstance(name, str):  # as for vertex ids, so the JSON writer's output reads back
+            raise GraphFormatError(f"graph name must be a string, got {name!r}")
         known = _unique_ids([v.id for v in vertices], "vertex")
         seen_pairs = set()
         for e in edges:
@@ -200,7 +202,8 @@ def _ell_failures(g: DualGraph, ell: int) -> list[tuple[str, Vertex]]:
 
 
 def validate(g: DualGraph, ell: int) -> ValidationReport:
-    """Run every hypothesis check the homology pipeline relies on.
+    """Run every hypothesis check the homology pipeline relies on, once ``ell``
+    is seen to be prime (else ValueError).
 
     Failures are report entries, never exceptions: symmetry (holds by
     construction), negative definiteness of the intersection matrix,
@@ -208,11 +211,6 @@ def validate(g: DualGraph, ell: int) -> ValidationReport:
     matrix, the coefficient prime not dividing any degree gcd or residue
     degree, and the graph being a forest.
     """
-    return _checked(g, ell)[1]
-
-
-def _checked(g: DualGraph, ell: int) -> tuple[_Analysis, ValidationReport]:
-    """The analysis of ``g`` and ``validate``'s report rendered from it."""
     _require_prime(ell)
     a = _analyse(g)
     checks = [CheckResult("symmetric", True, "intersection matrix is symmetric by construction")]
@@ -246,7 +244,7 @@ def _checked(g: DualGraph, ell: int) -> tuple[_Analysis, ValidationReport]:
         "no cycles or multiple intersections" if forest
         else "cycle found (an edge of multiplicity >= 2 counts as a cycle)"))
 
-    return a, ValidationReport(tuple(checks))
+    return ValidationReport(tuple(checks))
 
 
 # The most vertices a generated graph may have.
@@ -256,6 +254,7 @@ MAX_GENERATED_VERTICES = 10_000
 def gen_ade(family: str, n: int) -> DualGraph:
     """Standard ADE test catalog: Dynkin-diagram adjacency, every
     self-intersection -2, every multiplicity and degree gcd 1."""
+    _require_int("n", n)
     if n > MAX_GENERATED_VERTICES:
         raise UnsupportedIndexError(f"a generated graph has at most {MAX_GENERATED_VERTICES} vertices, {family}{n} has {n}")
     if family == "A":
@@ -282,6 +281,8 @@ def gen_ade(family: str, n: int) -> DualGraph:
 def hj_expansion(k: int, a: int) -> list[int]:
     """Continued-fraction expansion k/a = b1 - 1/(b2 - 1/(...)), all bi >= 2,
     of at most MAX_GENERATED_VERTICES terms."""
+    _require_int("k", k)
+    _require_int("a", a)
     if k < 2 or not 1 <= a < k:
         raise ValueError(f"need k >= 2 and 1 <= a < k, got k={k}, a={a}")
     if gcd(a, k) != 1:

@@ -13,16 +13,16 @@ l-part, with that part as stalk).
 
 from __future__ import annotations
 
-from .classgrp import _class_group, _ell_part
+from .classgrp import _ell_part, class_group
 from .dualgraph import (
     DualGraph,
-    _checked,
     _json_field,
     _json_loads,
     _json_object,
     _unique_ids,
     graph_from_obj,
     resolve_graph,
+    validate,
 )
 from .errors import GraphFormatError, ValidationFailedError
 from .exactlat import FgAbGroup, LModule, Value
@@ -66,13 +66,11 @@ def dualizing_report(spec: SurfaceSpec) -> DualizingReport:
     """
     verdicts = []
     for p in spec.points:
-        a, report = _checked(p.graph, spec.ell)
+        report = validate(p.graph, spec.ell)
         if not report.overall:
             raise ValidationFailedError(report, point_id=p.id)
-        # the report has already checked definiteness, divisibility and that
-        # ell divides no d_j or residue degree: the gates of class_group and
-        # class_group_ell
-        cl = _class_group(p.graph, a)
+        # the report has already checked the gates of class_group_ell
+        cl = class_group(p.graph)
         ell_part = _ell_part(cl, spec.ell)
         verdicts.append(PointVerdict(
             id=p.id,

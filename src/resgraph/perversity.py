@@ -25,6 +25,8 @@ class StratumProfile(Value):
     complex under test have cohomology."""
 
     def __init__(self, label: str, delta: int, stalk_degrees: frozenset[int], costalk_degrees: frozenset[int]):
+        if not isinstance(label, str):
+            raise ValueError(f"label must be a string, got {label!r}")
         _require_int("delta", delta)
         if not 0 <= delta <= 2:
             raise ValueError(f"surface strata have delta in 0..2, got {delta}")

@@ -9,18 +9,19 @@ integral computation, leaving only degree 4.  The general route drops the
 forest hypothesis and instead takes user-supplied curve cohomology ranks,
 reporting degree 2 as an unresolved extension: torsion from the cokernel of
 the intersection matrix, free part from the supplied degree-1 curve
-homology rank.
+homology rank.  Both cokernels, Cl and coker A, come gated and
+order-checked from ``classgrp._cokernel``.
 """
 
 from __future__ import annotations
 
 from typing import Literal
 
-from .classgrp import _checked_order, _class_group, _ell_part, _require_definite
+from .classgrp import _cokernel, _ell_part, class_group
 from .curvehom import deg_surjectivity
-from .dualgraph import DualGraph, _analyse, _checked, intersection_matrix
+from .dualgraph import DualGraph, _analyse, validate
 from .errors import NotConnectedError, ValidationFailedError
-from .exactlat import LModule, LSummand, Value, _require_prime, cokernel
+from .exactlat import LModule, LSummand, Value, _require_prime
 
 MAX_DEGREE = 5
 
@@ -81,19 +82,19 @@ def local_homology_rational(g: DualGraph, ell: int, mode: Mode = "integral") -> 
     """Homology profile of a strictly henselian local surface with a
     rational singularity (or a regular point, given the empty graph).
 
-    Requires every validation check to pass; failures raise
-    ValidationFailedError carrying the report.  Degree 4 is free of rank 1
-    with twist 2; degree 2 is the l-primary class group with twist 1;
-    everything else vanishes.  In rational-coefficients mode torsion is
+    Requires a prime ell, then a known mode, then every validation check to
+    pass; failures raise ValidationFailedError carrying the report.  Degree
+    4 is free of rank 1 with twist 2; degree 2 is the l-primary class group
+    with twist 1; everything else vanishes.  In rational-coefficients mode torsion is
     dropped after computing integrally, so only degree 4 survives.
     """
+    report = validate(g, ell)  # checks the prime first
     if mode not in ("integral", "rational"):
         raise ValueError(f"mode must be 'integral' or 'rational', got {mode!r}")
-    a, report = _checked(g, ell)
     if not report.overall:
         raise ValidationFailedError(report)
     # the report has already checked the gates of class_group_ell
-    h2 = _ell_part(_class_group(g, a), ell)
+    h2 = _ell_part(class_group(g), ell)
     h2_note = "l-primary divisor class group, twist 1"
     if mode == "rational":
         h2 = h2.without_torsion()
@@ -126,12 +127,10 @@ def local_homology_general(g: DualGraph, ell: int, extra: GeneralCurveInput) -> 
     degree map is onto).
     """
     _require_prime(ell)
-    a = _analyse(g)
-    if len(a.components) != 1:
+    if len(_analyse(g).components) != 1:
         raise NotConnectedError(
             f"configuration {g.name!r} must be nonempty and connected for the local case")
-    _require_definite(g, a)
-    torsion = _ell_part(_checked_order(cokernel(intersection_matrix(g)), a.det, g), ell)
+    torsion = _ell_part(_cokernel(g, [1] * g.n), ell)  # coker A: checks definiteness
     h2 = LModule(ell, (*torsion.summands, LSummand(1, extra.h1_homology_free_rank)))
 
     degrees = [v.residue_degree for v in g.vertices]

@@ -128,3 +128,10 @@ class TestDegSurjectivity:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             deg_surjectivity([0], 2)
+
+    def test_rejects_non_integers(self):
+        # 2.5 and True passed as residue degrees prime to 2
+        for d in (2.5, True, 3.0):
+            with pytest.raises(ValueError) as info:
+                deg_surjectivity([1, d], 2)
+            assert str(info.value) == f"residue degree must be an integer >= 1, got {d!r}"

@@ -88,6 +88,15 @@ class TestGraphInvariants:
         with pytest.raises(GraphFormatError):
             Vertex("v", -2, residue_degree=0)
 
+    def test_non_string_name_is_refused(self):
+        # a name of 5 was kept, and its JSON form did not read back
+        for name in (5, None, b"g"):
+            with pytest.raises(GraphFormatError) as info:
+                DualGraph(name, (Vertex("a", -2),), ())
+            assert str(info.value) == f"graph name must be a string, got {name!r}"
+        g = DualGraph("", (Vertex("a", -2),), ())
+        assert parse_graph(serialize_graph(g)) == g
+
 
 class TestIntersectionMatrix:
     def test_single_vertex(self):
@@ -231,6 +240,13 @@ class TestGenAde:
             with pytest.raises(UnsupportedIndexError, match="at most 10000 vertices"):
                 gen_ade(family, MAX_GENERATED_VERTICES + 1)
 
+    def test_non_integer_index_is_refused(self):
+        # True gave a graph named ATrue; 2.0 raised a TypeError from range
+        for n in (True, 2.0, "3"):
+            with pytest.raises(ValueError) as info:
+                gen_ade("A", n)
+            assert str(info.value) == f"n must be an integer, got {n!r}"
+
     def test_all_pass_validation(self):
         for g in (gen_ade("A", 5), gen_ade("D", 5), gen_ade("E", 6)):
             for ell in (2, 3, 5, 7):
@@ -284,6 +300,16 @@ class TestGenHj:
             gen_hj(1, 1)
         with pytest.raises(ValueError):
             gen_hj(5, 5)
+
+    def test_non_integer_arguments_are_refused(self):
+        # hj_expansion(5, True) gave [5] and gen_hj(5, True) a graph named HJ-5-True
+        for fn in (hj_expansion, gen_hj):
+            for k, a, message in ((5, True, "a must be an integer, got True"),
+                                  (5.0, 2, "k must be an integer, got 5.0"),
+                                  (5, 2.0, "a must be an integer, got 2.0")):
+                with pytest.raises(ValueError) as info:
+                    fn(k, a)
+                assert str(info.value) == message
 
     def test_validation(self):
         for ell in (2, 3, 5, 7):

@@ -11,7 +11,7 @@ raise the same exception with the same message, in a fixed precedence:
 - ``curve_profile``, ``mv_profile`` and ``deg_surjectivity``: the prime
   check first.
 - ``validate``, ``local_homology_rational`` and ``dualizing_report``: the
-  prime check first (after the mode check of ``local_homology_rational``).
+  prime check first (before the mode check of ``local_homology_rational``).
 - ``dualizing_report``: names the first failing point.
 """
 
@@ -160,10 +160,12 @@ class TestValidate:
 
 
 class TestLocalHomologyRational:
-    def test_mode_then_prime(self):
-        raises(ValueError, "mode must be 'integral' or 'rational', got 'bogus'",
-               local_homology_rational, INDEFINITE, 4, "bogus")
+    def test_prime_then_mode(self):
+        raises(ValueError, PRIME, local_homology_rational, INDEFINITE, 4, "bogus")
+        raises(ValueError, "coefficient prime required, got 1", local_homology_rational, GOOD, 1, "bogus")
         raises(ValueError, PRIME, local_homology_rational, INDEFINITE, 4)
+        raises(ValueError, "mode must be 'integral' or 'rational', got 'bogus'",
+               local_homology_rational, INDEFINITE, 3, "bogus")
 
     def test_validation_failure_carries_the_report(self):
         exc = raises(ValidationFailedError, "validation failed: negative_definite, divisibility, ell_coprime",
@@ -247,6 +249,7 @@ def test_every_entry_point_that_takes_ell_refuses_a_non_integer(ell):
         (class_group_ell, INDEFINITE, ell),
         (local_homology_rational, a3, ell),
         (local_homology_rational, a3, ell, "rational"),
+        (local_homology_rational, a3, ell, "bogus"),
         (local_homology_general, a3, ell, GeneralCurveInput()),
         (curve_profile, a3, ell),
         (mv_profile, a3, ell),

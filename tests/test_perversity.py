@@ -117,6 +117,12 @@ class TestStratumProfile:
         with pytest.raises(ValueError):
             StratumProfile("x", delta, frozenset(stalk), frozenset(costalk))
 
+    def test_non_string_label_is_refused(self):
+        for label in (5, None):
+            with pytest.raises(ValueError) as info:
+                StratumProfile.of(label, 0, [], [])
+            assert str(info.value) == f"label must be a string, got {label!r}"
+
     def test_degrees_may_be_any_iterable(self):
         s = StratumProfile("x", 1, iter([-2, -1, -2]), (x for x in [0]))
         assert (s.stalk_degrees, s.costalk_degrees) == (frozenset({-2, -1}), frozenset({0}))
